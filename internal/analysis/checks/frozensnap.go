@@ -50,8 +50,7 @@ var frozenReadOnly = map[string]bool{
 	"N": true, "M": true, "Edges": true, "EdgesCopy": true,
 	"Neighbors": true, "EdgeWeight": true, "SortedEdges": true,
 	"Certify": true, "CertifyAvoiding": true, "Hubs": true,
-	"Relaxed": true, "Epoch": true, "Reselected": true,
-	"countRows": true, "get": true, "Size": true, "Graph": true,
+	"Relaxed": true, "countRows": true, "get": true, "Size": true, "Graph": true,
 	"MaxDegree": true, "Lightness": true, "Weight": true,
 	"Stretch": true, "verifyPair": true, "PeakBucket": true,
 }

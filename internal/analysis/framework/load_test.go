@@ -34,16 +34,21 @@ func TestLoadTypeChecksCore(t *testing.T) {
 	if len(unit.Files) == 0 {
 		t.Fatal("no files parsed")
 	}
-	// The analyzers lean on Info.Types for range operands; check a map
-	// type and a method selection resolve.
-	var sawMapRange, sawSelection bool
+	// The analyzers lean on Info.Types for range operands (mapdet asks
+	// whether one is a map); check that range operands and map-typed
+	// expressions resolve, and a method selection.
+	var sawRange, sawMap, sawSelection bool
 	for _, f := range unit.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
+				if _, ok := unit.Info.Types[n.X]; ok {
+					sawRange = true
+				}
+			case *ast.IndexExpr:
 				if tv, ok := unit.Info.Types[n.X]; ok {
 					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						sawMapRange = true
+						sawMap = true
 					}
 				}
 			case *ast.SelectorExpr:
@@ -54,8 +59,8 @@ func TestLoadTypeChecksCore(t *testing.T) {
 			return true
 		})
 	}
-	if !sawMapRange {
-		t.Error("no range-over-map resolved in internal/core; type info incomplete")
+	if !sawRange || !sawMap {
+		t.Errorf("range operands resolved: %v, map-typed index resolved: %v; type info incomplete", sawRange, sawMap)
 	}
 	if !sawSelection {
 		t.Error("no method selection resolved; type info incomplete")

@@ -16,13 +16,11 @@ import (
 // The dynamic benchmark quantifies the fully dynamic maintained spanner:
 // insert-only, delete-only, and mixed query/insert/delete workloads
 // against the rebuild-per-op policy, whose per-operation cost is one full
-// from-scratch greedy build at n. Deletions resume the greedy scan at the
-// earliest accepted edge touching a deleted point, restoring checkpointed
-// bound rows and hub arrays instead of recomputing them, so the amortized
-// per-delete cost is a small fraction of a rebuild even though a random
-// deletion usually cuts early in the scan. Every workload's final spanner
-// is checked edge-for-edge against the from-scratch build on the
-// survivors.
+// from-scratch greedy build at n. A metric-mode flush is exactly one such
+// build on the survivors, so the amortized per-operation cost comes from
+// batching: a batch of updates, or a run of coalesced updates before a
+// query, shares one flush. Every workload's final spanner is checked
+// edge-for-edge against the from-scratch build on the survivors.
 
 // DynamicBenchCase is the report for one instance.
 type DynamicBenchCase struct {

@@ -11,11 +11,10 @@ import (
 // the amortized per-operation cost of the insert-only, delete-only, and
 // mixed 80/10/10 workloads must each beat the rebuild-per-op policy by at
 // least 5x, and every workload's final spanner must be edge-for-edge
-// identical to the from-scratch build on its survivors. A rebase that
-// silently falls back to full replays, a checkpoint store that stops
-// restoring, or a hub oracle that rebuilds from scratch on every delete
-// shows up here as a speedup collapse long before anyone reads a
-// benchmark. Gated behind DYN_GUARD=1 because the n=4000 workloads take a
+// identical to the from-scratch build on its survivors. A flush that
+// starts costing more than one rebuild, or a batch or coalesced run that
+// stops sharing one flush, shows up here as a speedup collapse long
+// before anyone reads a benchmark. Gated behind DYN_GUARD=1 because the n=4000 workloads take a
 // couple of minutes; CI runs it as a dedicated step.
 func TestDynamicRegressionGuardN4000(t *testing.T) {
 	if os.Getenv("DYN_GUARD") != "1" {

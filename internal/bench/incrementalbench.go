@@ -28,9 +28,9 @@ func mustIncResult(inc *core.IncrementalSpanner) *core.Result {
 // opens: interleaved insertions. The baseline policy is what the repo
 // offered before — every insertion triggers a from-scratch greedy build on
 // the grown point set — so its per-insert cost is one full rebuild. The
-// incremental engine instead replays only the disturbed tail of the greedy
-// scan per insertion batch; the benchmark reports its amortized per-insert
-// cost, checks the final spanner edge-for-edge against the from-scratch
+// incremental engine instead flushes once per insertion batch (one
+// rebuild on the grown set, shared by the whole batch); the benchmark
+// reports its amortized per-insert cost, checks the final spanner edge-for-edge against the from-scratch
 // build, and records MemStats peak/total allocation for both policies,
 // following the repeated-run discipline of the other engine benchmarks.
 

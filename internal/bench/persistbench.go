@@ -20,7 +20,7 @@ import (
 // taking a snapshot (export + encode + atomic write), the cost of warm
 // starting from one (read + decode + import) versus rebuilding the
 // spanner from scratch, the per-operation write-ahead-log overhead, and
-// the cost of a recovery that replays a WAL tail. The headline number is
+// the cost of a recovery that applies a WAL tail (with one flush). The headline number is
 // the warm-start speedup — a snapshot load skips the whole greedy scan,
 // so it must beat the rebuild by a wide margin (the guard test pins 20x
 // at n=4000).
@@ -208,8 +208,9 @@ func PersistBench(ctx context.Context, scale Scale, seed int64, reps, workers in
 				return nil, nil, err
 			}
 		}
-		// The measured window includes the engine's incremental replay;
-		// the log overhead itself is the fsynced append inside it.
+		// The measured window includes the engine's flush (one rebuild per
+		// eager insert); the log overhead itself is the fsynced append
+		// inside it.
 		c.WalAppendUS = time.Since(appendStart).Seconds() * 1e6 / walOps
 		wantRecovered := uint64(0)
 		if res, err := d.Result(); err == nil {

@@ -11,9 +11,8 @@ import (
 // start from a snapshot (read + decode + import + first query) must beat
 // a from-scratch greedy build by at least 20x, and every loaded and
 // recovered spanner must reproduce the original result digest exactly. A
-// decoder that starts re-deriving bound rows, an import that re-runs the
-// scan, or a replay that stops using the maintained fast path shows up
-// here as a speedup collapse. Gated behind PERSIST_GUARD=1 because the
+// decoder that starts re-deriving engine state or an import that re-runs
+// the scan shows up here as a speedup collapse. Gated behind PERSIST_GUARD=1 because the
 // n=4000 build takes a while; CI runs it as a dedicated step.
 func TestPersistWarmStartGuardN4000(t *testing.T) {
 	if os.Getenv("PERSIST_GUARD") != "1" {

@@ -71,13 +71,10 @@ type Schedule struct {
 	Bit      uint
 	// Stall is how long the stalled certification sleeps.
 	Stall time.Duration
-	// AtRebase redirects the fault to the backward-rebase window instead
-	// of the certification path: the fault fires inside
-	// IncrementalSpanner.Flush after the keep prefix is decided, before
-	// the bound store and hub oracle rebase onto it. FaultCorrupt then
-	// targets a checkpoint snapshot (falling back to a live row when the
-	// corrupter exposes no checkpoints), modelling a damaged saved state
-	// that the digest-verified restore must detect, never launder.
+	// AtRebase redirects FaultPanic/FaultCancel/FaultStall to the rebase
+	// window instead of the certification path: the fault fires inside a
+	// graph-mode IncrementalSpanner.Flush after the keep prefix is
+	// decided, before the hub oracle rebases onto it.
 	AtRebase bool
 }
 
@@ -161,9 +158,9 @@ func (in *Injector) onCertify(graph.Edge) {
 }
 
 // onRebase fires the scheduled fault inside the maintained spanner's
-// backward-rebase window, at most once — a retried flush revisits the
-// window, and recovery is the property under test.
-func (in *Injector) onRebase(_ int, c core.Corrupter) {
+// rebase window, at most once — a retried flush revisits the window, and
+// recovery is the property under test.
+func (in *Injector) onRebase(int) {
 	if !in.sched.AtRebase {
 		return
 	}
@@ -179,21 +176,6 @@ func (in *Injector) onRebase(_ int, c core.Corrupter) {
 	case FaultStall:
 		if in.fired.CompareAndSwap(false, true) {
 			time.Sleep(in.sched.Stall)
-		}
-	case FaultCorrupt:
-		if c == nil || !in.corrupted.CompareAndSwap(false, true) {
-			return
-		}
-		// Prefer damaging a checkpoint snapshot — the saved state a
-		// backward rebase restores from — and fall back to a live row
-		// when no checkpoint exists yet. Un-fire on a double miss.
-		if ck, ok := c.(interface {
-			FlipCheckpointBit(u, v int, bit uint) bool
-		}); ok && ck.FlipCheckpointBit(in.sched.Row, in.sched.Col, in.sched.Bit) {
-			return
-		}
-		if !c.FlipRowBit(in.sched.Row, in.sched.Col, in.sched.Bit) {
-			in.corrupted.Store(false)
 		}
 	}
 }

@@ -319,15 +319,12 @@ func TestChaosPropertySuite(t *testing.T) {
 		}
 	})
 
-	// Fully dynamic engine: mixed insert+delete batches, with half the
-	// schedules aiming the fault at the backward-rebase window inside
-	// Flush (Schedule.AtRebase) — a panic or cancellation mid-rebase, or
-	// a flipped bit in a checkpoint snapshot. An aborted flush must
-	// preserve the pre-flush spanner and pending tally exactly; corrupted
-	// checkpoints must be detected by the restore digests (identical
-	// output, never laundered state); and once the fault clears, the
-	// retried flush must converge to the from-scratch build on the
-	// survivors.
+	// Fully dynamic metric engine: a mixed insert+delete batch whose
+	// flush — one from-scratch build on the survivors — takes a panic, a
+	// cancellation, or a bit flip in a guarded bound row. An aborted
+	// flush must preserve the pre-flush spanner and pending tally
+	// exactly, and once the fault clears, the retried flush must converge
+	// to the from-scratch build on the survivors.
 	t.Run("dynamic", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
 		pts := make([][]float64, 32)
@@ -367,7 +364,6 @@ func TestChaosPropertySuite(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/seed%d", fault, seed), func(t *testing.T) {
 					baseline := runtime.NumGoroutine()
 					sched := chaos.RandomSchedule(rng, fault, 32, maxCertify, 0)
-					sched.AtRebase = seed%2 == 0
 					inj := chaos.New(sched)
 					ctx, hooks := inj.Arm(context.Background())
 					defer inj.Release()
@@ -408,6 +404,90 @@ func TestChaosPropertySuite(t *testing.T) {
 					}
 					// Clear the fault and retry: the flush must converge to
 					// the from-scratch build on the survivors.
+					inc.SetContext(context.Background())
+					res, ferr = inc.Result()
+					if ferr != nil {
+						t.Fatalf("retried flush failed: %v", ferr)
+					}
+					checkOutcome(t, refFinal, res, nil)
+					settleGoroutines(t, baseline)
+				})
+			}
+		}
+	})
+
+	// Graph-mode dynamic engine: a coalesced edge insert+delete batch,
+	// with half the schedules aiming the fault at the rebase window inside
+	// Flush (Schedule.AtRebase) — a panic or a cancellation before the hub
+	// oracle rebases onto the kept prefix. An aborted flush must preserve
+	// the pre-flush spanner and pending tally exactly, and once the fault
+	// clears, the retried flush must converge to the from-scratch build on
+	// the final graph.
+	t.Run("graphdynamic", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(61))
+		g := randomGraph(rng, 40, 120)
+		edges := g.EdgesCopy()
+		held, gone := edges[len(edges)-6:], []graph.Edge{edges[3], edges[10]}
+		base := g.Subgraph(edges[:len(edges)-6])
+		final := g.Clone()
+		for _, e := range gone {
+			if err := final.RemoveEdge(e.U, e.V, e.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refBase, err := core.GreedyGraph(base, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refFinal, err := core.GreedyGraph(final, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxCertify := int64(len(edges))
+		for _, fault := range []chaos.Fault{chaos.FaultPanic, chaos.FaultCancel} {
+			for seed := 0; seed < 8; seed++ {
+				t.Run(fmt.Sprintf("%v/seed%d", fault, seed), func(t *testing.T) {
+					baseline := runtime.NumGoroutine()
+					sched := chaos.RandomSchedule(rng, fault, 40, maxCertify, 0)
+					sched.AtRebase = seed%2 == 0
+					inj := chaos.New(sched)
+					ctx, hooks := inj.Arm(context.Background())
+					defer inj.Release()
+					opts := core.ParallelOptions{Workers: 3, Ctx: ctx, Inject: hooks}
+					if seed%4 < 2 {
+						opts.Hubs = 4
+					}
+					schedules++
+					inc, err := core.NewIncrementalGraph(base, 2, opts)
+					if err != nil {
+						requireTyped(t, err)
+						fired++
+						settleGoroutines(t, baseline)
+						return
+					}
+					if err := inc.SetPolicy(core.IncrementalPolicy{CoalesceUntilQuery: true}); err != nil {
+						t.Fatalf("SetPolicy with nothing pending: %v", err)
+					}
+					if err := inc.InsertEdges(held...); err != nil {
+						t.Fatalf("coalesced InsertEdges replayed: %v", err)
+					}
+					if err := inc.DeleteEdges(gone...); err != nil {
+						t.Fatalf("coalesced DeleteEdges replayed: %v", err)
+					}
+					res, ferr := inc.Result()
+					if ferr == nil {
+						checkOutcome(t, refFinal, res, nil)
+						settleGoroutines(t, baseline)
+						return
+					}
+					requireTyped(t, ferr)
+					fired++
+					// Atomicity: the maintained result must still be the
+					// complete base spanner, with all 8 operations pending.
+					checkOutcome(t, refBase, res, nil)
+					if inc.Pending() != 8 {
+						t.Fatalf("pending = %d after aborted flush, want 8", inc.Pending())
+					}
 					inc.SetContext(context.Background())
 					res, ferr = inc.Result()
 					if ferr != nil {

@@ -103,65 +103,42 @@
 // stay +Inf, a trivial upper bound, and the pair decision reads an exact
 // settled distance or a beyond-limit verdict either way) and pre-seeds
 // the sparse bound rows with the bounds it certifies, so the cache layer
-// and the oracle compound. Across incremental insertions the arrays
-// rebase like bound rows: synced to a preserved prefix they survive and
-// repair forward; synced past the cut they are refreshed in place.
+// and the oracle compound. Across graph-mode incremental replays the
+// arrays are rebased: synced to a preserved prefix they survive and repair
+// forward; synced past the cut they restore a checkpoint or are refreshed
+// in place.
 //
-// # Incremental maintenance and the insertion-soundness invariant
+// # Incremental maintenance
 //
-// IncrementalSpanner maintains a greedy spanner under point insertions
-// (metrics) and edge insertions (graphs). An insertion splices new
-// candidates into the fixed greedy scan order, so everything strictly
-// before the first spliced position is undisturbed: the union scan sees
-// the identical candidate prefix, repeats the identical decisions, and
-// accepts the identical edge prefix — which the engine keeps verbatim
-// and replays only the tail from a cut-resumed candidate source.
+// IncrementalSpanner maintains a greedy spanner under point insertions and
+// deletions (metrics) and edge insertions and deletions (graphs); after
+// every flushed batch its result is bit-identical to a from-scratch greedy
+// build on the surviving input, counters included.
 //
-// Cached bound rows survive insertions by the same monotonicity that
-// powers the frozen-snapshot certification: every row is stamped with
-// the accepted-edge prefix its bounds were proven on, and a row proven
-// on a prefix the replay preserves is proven on a subgraph of every
-// partial spanner the replay will hold — adding edges only shrinks
-// distances, so its entries can only overestimate, never undercut, and
-// each skip they certify is exactly the skip a fresh computation would
-// certify. Rows proven on longer (discarded) prefixes are dropped.
-// The maintained result after every insertion batch is therefore
-// bit-identical to a from-scratch greedy build on the union, counters
-// included.
+// In metric mode a flush is exactly that build: the greedy spanner is a
+// function of the current input alone, so Insert and Delete only maintain
+// the surviving point set (dense ids, in insertion order; Euclidean
+// survivors stay Euclidean and keep the grid supply) and a flush runs
+// GreedyMetricFastParallelOpts on it. Nothing is cached across flushes: a
+// maintained replay that resumes the scan at the first disturbed position
+// and carries bound rows and hub arrays across updates measures at about
+// one rebuild per flush, and about two for deletions, so metric mode does
+// not keep one.
 //
-// # Deletions and the backward-rebase soundness invariant
-//
-// Delete (points, metric mode) and DeleteEdges (graph mode) extend the
-// maintained spanner to a fully dynamic one. The soundness argument
-// mirrors insertion, pointed backward: every greedy decision depends
-// only on the accepted edges that precede it, so the earliest accepted
-// edge with a deleted endpoint is the first decision a deletion can
-// disturb. Everything strictly before that cut is a decision the
-// surviving input's scan repeats verbatim — the candidate stream differs
-// only in pairs it skips as tombstoned, and skipped candidates never
-// influenced a decision — so the engine keeps the accepted prefix,
-// rebases the cached state backward onto it, and replays only the tail.
-// A deletion that only touches rejected candidates cuts at the sentinel
-// past the last candidate: the replay is pure accounting and the edge
-// set is untouched.
-//
-// The backward rebase is what makes this cheap. Bound rows and hub
-// arrays are stamped with the accepted-edge prefix they were proven on;
-// a forward rebase (insertion) keeps any stamp at or below the cut, but
-// a deletion invalidates stamps above it, and recomputing them from
-// scratch would cost a full replay. Instead both stores keep periodic
-// checkpoints — digest-verified snapshots of row and hub-array state at
-// known epochs — and restore the newest checkpoint at or below the cut.
-// A restored row is a row the engine actually held at that prefix, so
-// the insertion-soundness argument applies unchanged; a checkpoint whose
-// digest fails verification is dropped, never laundered into the replay.
-// Internally deleted points become tombstones in a stable-id space (ids
-// are never renumbered, which would reorder weight ties); the public
-// Result densely renumbers survivors in stable order, which preserves
-// tie order, the float-summed weight, and the examined-candidate
-// counter. The maintained result after every deletion batch is
-// therefore bit-identical to a from-scratch greedy build on the
-// survivors, counters included.
+// In graph mode the maintained replay pays for itself, and stays. Every
+// greedy decision depends only on the candidates and accepted edges
+// before it, so an update can change decisions only from the earliest
+// scan position it disturbs: for an inserted edge the position it
+// occupies, for a deleted edge the earliest accepted edge it matches.
+// Everything strictly before that cut is a decision the updated graph's
+// scan repeats verbatim, so the engine keeps the accepted prefix and
+// replays only the tail from a cut-resumed candidate source. Hub arrays
+// are stamped with the accepted-edge prefix they are synced to: arrays at
+// or below the cut are distances on a subgraph of every partial spanner
+// the replay builds — adding edges only shrinks distances, so they can
+// only overestimate — and repair forward; arrays past the cut restore the
+// newest digest-verified checkpoint at or below it (a checkpoint whose
+// digest fails is dropped, never restored) or are refreshed whole.
 //
 // # Cancellation, budgets, and the fault-containment invariant
 //
@@ -181,8 +158,7 @@
 // Degradations log. Worker panics are converted to ErrEnginePanic;
 // checksum-guarded bound rows (GuardRows) surface bit flips as
 // ErrCorruptState, verified before every fold, overwrite, and
-// cache-certified skip, and incremental rebases drop rather than
-// re-digest damaged rows.
+// cache-certified skip.
 //
 // The invariant the internal/chaos property suite enforces across all
 // four engines: any injected fault — worker panic, stalled
@@ -194,18 +170,16 @@
 // # Durable state export
 //
 // ExportState flushes a maintained spanner's pending batch and captures
-// its complete dynamic state — the surviving input, the accepted edge
-// sequence in the stable tombstone id space, the pair-count histogram,
-// the sparse bound rows with their proof epochs, the hub arrays, and the
-// batching policy — as a SpannerState; ImportIncremental reconstructs an
-// equivalent IncrementalSpanner from one. The round trip is exact: the
-// import re-registers the cached rows under the same proof prefixes the
-// export recorded, so the reconstructed spanner certifies, replays, and
-// answers Result bit-identically to the original (ResultDigest is the
-// 64-bit fingerprint tests compare). internal/persist builds the on-disk
-// layer on top of this pair: versioned digest-guarded snapshots of a
-// SpannerState plus a write-ahead log of dynamic operations, with
-// crash-recovery equivalence enforced by the internal/chaos Kill suite.
+// its state — the surviving input in dense order, the accepted edge
+// sequence, its weight and examined count, the batching policy, and in
+// graph mode the hub arrays — as a SpannerState; ImportIncremental
+// reconstructs an equivalent IncrementalSpanner from one. The round trip
+// is exact: the reconstructed spanner answers Result, and every later
+// update, bit-identically to the original (ResultDigest is the 64-bit
+// fingerprint tests compare). internal/persist builds the on-disk layer on
+// top of this pair: versioned digest-guarded snapshots of a SpannerState
+// plus a write-ahead log of dynamic operations, with crash-recovery
+// equivalence enforced by the internal/chaos Kill suite.
 //
 // # Machine-checked invariants
 //

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/metric"
 )
@@ -510,5 +511,78 @@ func TestDeleteResultIsDenseRenumbering(t *testing.T) {
 	// the result's weights exist among survivor pair distances.
 	if math.IsNaN(res.Weight) || res.Weight <= 0 {
 		t.Fatalf("weight %v not positive", res.Weight)
+	}
+}
+
+// TestDeleteKeepsGridEnumerator pins the supply a rebuild after deletions
+// runs on: Euclidean survivors must stay a *metric.Euclidean, so the flush
+// enumerates candidates with the geom grid instead of brute-force pairs,
+// across chained deletions and coalesced insert+delete batches. A
+// non-Euclidean metric becomes a flat survivor view over its base.
+func TestDeleteKeepsGridEnumerator(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pts := make([][]float64, 20)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64() * 8, rng.Float64() * 8}
+	}
+	inc, err := NewIncrementalMetric(metric.MustEuclidean(pts[:16]), 1.5, MetricParallelOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.SetPolicy(IncrementalPolicy{CoalesceUntilQuery: true}); err != nil {
+		t.Fatal(err)
+	}
+	alive := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	if err := inc.Delete(3, 9); err != nil {
+		t.Fatal(err)
+	}
+	alive = deleteAt(alive, []int{3, 9})
+	alive = append(alive, 16, 17, 18, 19)
+	if err := inc.Insert(restrictMetric(metric.MustEuclidean(pts), alive)); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Delete(0, len(alive)-1); err != nil {
+		t.Fatal(err)
+	}
+	alive = deleteAt(alive, []int{0, len(alive) - 1})
+	if _, ok := inc.m.(*metric.Euclidean); !ok {
+		t.Fatalf("Euclidean survivors held as %T", inc.m)
+	}
+	if _, ok := metricEnumeratorFor(inc.m).(*geom.GridEnumerator); !ok {
+		t.Fatalf("rebuild after delete enumerates with %T, want the geom grid", metricEnumeratorFor(inc.m))
+	}
+	want, err := GreedyMetricFastSerial(restrictMetric(metric.MustEuclidean(pts), alive), 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalResults(t, "grid-after-delete", want, mustResult(t, inc))
+
+	base := tableMetric{d: make([][]float64, 6)}
+	for i := range base.d {
+		base.d[i] = make([]float64, 6)
+		for j := range base.d[i] {
+			if i != j {
+				base.d[i][j] = 1 + float64((i+1)*(j+1)%5)
+			}
+		}
+	}
+	minc, err := NewIncrementalMetric(base, 1.5, MetricParallelOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		if err := minc.Delete(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, ok := minc.m.(*survivorView)
+	if !ok {
+		t.Fatalf("matrix survivors held as %T, want a survivor view", minc.m)
+	}
+	if _, flat := view.base.(tableMetric); !flat || fmt.Sprint(view.idx) != "[0 2 4 5]" {
+		t.Fatalf("chained deletes held as a view of %T points %v, want the base's points [0 2 4 5]", view.base, view.idx)
+	}
+	if _, ok := metricEnumeratorFor(minc.m).(metricEnumerator); !ok {
+		t.Fatalf("matrix survivors enumerate with %T, want brute force", metricEnumeratorFor(minc.m))
 	}
 }

@@ -40,14 +40,13 @@ import (
 //
 // # Incremental rebase
 //
-// Rebase carries the oracle across IncrementalSpanner insertions the same
-// way bound-row epochs survive: arrays synced to an accepted-edge prefix
-// the replay preserves stay valid (distances on a subgraph of every replay
-// spanner only overestimate) and are repaired by relaxing the preserved
-// edges they have not seen; arrays synced past the preserved prefix are
-// stale and are refreshed in place by one full bounded Dijkstra at the
-// next sync. Arrays grow within reserved slack, so insertions churn no
-// hub memory until the slack is exhausted.
+// Rebase carries the oracle across graph-mode IncrementalSpanner replays:
+// arrays synced to an accepted-edge prefix the replay preserves stay valid
+// (distances on a subgraph of every replay spanner only overestimate) and
+// are repaired by relaxing the preserved edges they have not seen; arrays
+// synced past the preserved prefix restore the newest digest-verified
+// checkpoint at or below it, or are refreshed whole by one Dijkstra per
+// hub at the next sync.
 //
 // A HubOracle is not safe for concurrent use; the engines consult it only
 // from their serial sections.
@@ -88,17 +87,14 @@ type HubOracle struct {
 	// engine stats, which are zeroed per build or insertion).
 	relaxed   int
 	refreshes int
-	// reselected counts hubs re-sampled after their vertex was deleted
-	// (lifetime; surfaced as Stats.HubsReselected).
-	reselected int
 }
 
 // NewHubOracle returns an oracle over the given hub vertices, attached to
 // the spanner h (which the caller mutates through OnAccept notifications).
 // h is expected to be empty or to contain exactly the epoch accepted edges
 // the caller reports; a fresh build starts with an empty spanner, for
-// which the all-+Inf arrays are exact. slack reserves per-array growth
-// headroom for maintained spanners (0 for one-shot builds).
+// which the all-+Inf arrays are exact. slack reserves extra per-array
+// capacity beyond the vertex count; the engines pass 0.
 func NewHubOracle(hubs []int, h *graph.Graph, slack int) *HubOracle {
 	n := h.N()
 	o := &HubOracle{h: h, hubs: hubs, search: graph.NewSearcher(n)}
@@ -179,9 +175,7 @@ func (o *HubOracle) maybeCheckpoint() {
 // reports whether it did. Every candidate's row digests are verified
 // first; a snapshot failing them is dropped on the spot — corruption in a
 // checkpoint degrades to "no checkpoint", it is never restored. Restored
-// rows are exact at the snapshot epoch; entries for points added after
-// the snapshot reset to +Inf, their exact distance in that prefix spanner
-// (the preserved prefix never touches points that did not exist yet).
+// rows are exact at the snapshot epoch.
 func (o *HubOracle) restoreCheckpoint(keep int) bool {
 	for len(o.ckpts) > 0 {
 		ck := o.ckpts[len(o.ckpts)-1]
@@ -226,59 +220,6 @@ func (o *HubOracle) pruneCheckpoints(keep int) {
 	o.ckpts = kept
 }
 
-// ReplaceHubs retires every hub whose vertex is marked dead, promoting a
-// replacement chosen by pick — called with the current hub membership
-// (surviving hubs plus promotions so far) and returning the vertex to
-// promote, or a negative value when no candidate remains. The incremental
-// engine passes the same farthest-point rule the initial selection used
-// (see SelectMetricHubs), so coverage is re-sampled rather than defaulting
-// to low ids; a nil pick falls back to the smallest live vertex not
-// already serving. Promotion invalidates all rows (stale) and drops every
-// snapshot: a snapshot's rows are distances from the old hub set, and
-// restoring one under the new set would certify pairs through a vertex
-// that no longer exists. When no candidate remains the dead hub is kept —
-// the preserved prefix never touches dead vertices, so its row degrades
-// to all-+Inf and certifies nothing, which is merely slow, never wrong.
-func (o *HubOracle) ReplaceHubs(dead []bool, live []int, pick func(isHub map[int]bool) int) {
-	isHub := make(map[int]bool, len(o.hubs))
-	for _, h := range o.hubs {
-		isHub[h] = true
-	}
-	replaced := false
-	li := 0
-	for i, h := range o.hubs {
-		if h >= len(dead) || !dead[h] {
-			continue
-		}
-		nh := -1
-		if pick != nil {
-			nh = pick(isHub)
-		} else {
-			for li < len(live) && isHub[live[li]] {
-				li++
-			}
-			if li < len(live) {
-				nh = live[li]
-			}
-		}
-		if nh < 0 || isHub[nh] {
-			continue
-		}
-		isHub[nh] = true
-		o.hubs[i] = nh
-		o.reselected++
-		replaced = true
-	}
-	if replaced {
-		o.ckpts = nil
-		o.stale = true
-	}
-}
-
-// Reselected reports the lifetime number of hubs re-sampled by
-// ReplaceHubs after their vertex was deleted.
-func (o *HubOracle) Reselected() int { return o.reselected }
-
 // Hubs returns the oracle's hub vertices (read-only).
 func (o *HubOracle) Hubs() []int { return o.hubs }
 
@@ -287,11 +228,6 @@ func (o *HubOracle) Hubs() []int { return o.hubs }
 // Dijkstra refreshes (rebase repairs only; a one-shot build performs none).
 func (o *HubOracle) Relaxed() int   { return o.relaxed }
 func (o *HubOracle) Refreshes() int { return o.refreshes }
-
-// Epoch reports the accepted-edge count the arrays are synced to. Between
-// OnAccept and the next query it lags the live spanner; bounds proven at
-// this epoch are stamped into pre-seeded bound rows.
-func (o *HubOracle) Epoch() int { return o.epoch }
 
 // OnAccept queues an accepted spanner edge for lazy maintenance. The
 // caller must have already added the edge to the attached spanner.
@@ -378,19 +314,15 @@ next:
 	return false
 }
 
-// Rebase carries the oracle across an incremental replay that restarts
-// from the first keep accepted edges of the previous scan (accepted, in
-// acceptance order), over a vertex set grown to n, with h the replay's
-// starting spanner. Rows synced to a prefix of the preserved edges stay
-// valid and queue the preserved edges they have not seen for dirty-radius
-// repair; rows synced past the cut are refreshed in place at the next
-// sync. Rows grow within their reserved slack; new points start at +Inf,
-// their exact distance in the restart spanner.
-func (o *HubOracle) Rebase(keep, n int, accepted []graph.Edge, h *graph.Graph, slack int) {
+// Rebase carries the oracle across a graph-mode incremental replay that
+// restarts from the first keep accepted edges of the previous scan
+// (accepted, in acceptance order), with h the replay's starting spanner
+// over the same vertex set. Rows synced to a prefix of the preserved edges
+// stay valid and queue the preserved edges they have not seen for
+// dirty-radius repair; rows synced past the cut restore a checkpoint at or
+// below it or are refreshed in place at the next sync.
+func (o *HubOracle) Rebase(keep int, accepted []graph.Edge, h *graph.Graph) {
 	o.h = h
-	if n > o.search.N() {
-		o.search = graph.NewSearcher(n)
-	}
 	o.pending = o.pending[:0]
 	o.live = keep
 	o.pruneCheckpoints(keep)
@@ -420,20 +352,6 @@ func (o *HubOracle) Rebase(keep, n int, accepted []graph.Edge, h *graph.Graph, s
 		// through OnAccept, and sync advances epoch to the live count
 		// only after relaxing them all.
 		o.pending = append(o.pending, accepted[o.epoch:keep]...)
-	}
-	for i := range o.rows {
-		row := o.rows[i]
-		old := len(row)
-		if cap(row) < n {
-			grown := make([]float64, old, n+slack)
-			copy(grown, row)
-			row = grown
-		}
-		row = row[:n]
-		for v := old; v < n; v++ {
-			row[v] = graph.Inf
-		}
-		o.rows[i] = row
 	}
 }
 

@@ -16,64 +16,60 @@ import (
 // is bit-identical to a from-scratch greedy build on the surviving input —
 // same edge sequence, weight, and examined-candidate count.
 //
-// # How an insertion replays
+// # How a metric-mode flush works
+//
+// The greedy spanner is a function of the current input alone, so a
+// metric-mode flush is exactly one from-scratch build:
+// GreedyMetricFastParallelOpts on the surviving points in their
+// maintained order, under the spanner's own MetricParallelOptions. Insert
+// and Delete only update that point set; no cached bound rows, hub arrays,
+// or id translations carry over from one flush to the next, and the
+// result needs no renumbering because the survivors are already numbered
+// densely. Resuming the scan mid-stream and carrying cached rows across
+// updates was measured to cost about one rebuild per flush, and about two
+// for deletion batches, so the rebuild is both the simplest and the
+// cheapest way to the same bit-identical result. Euclidean survivors stay
+// a *metric.Euclidean, so every rebuild keeps the grid-bucketed candidate
+// supply of internal/geom.
+//
+// # How a graph-mode replay works
 //
 // The greedy scan consumes candidates in a fixed order (non-decreasing
-// weight, ties by endpoint ids), so inserting elements splices their
-// candidate pairs into that stream at known positions. Everything strictly
-// before the first spliced position is untouched: the union scan sees the
-// exact candidate prefix the previous scan saw, makes the same
-// deterministic decisions, and therefore accepts the exact prefix of the
-// maintained edge sequence. The engine keeps that prefix verbatim and
-// replays only the stream's tail — pulled from the cut-resumed streamed
-// supply, which skips whole weight buckets below the cut by count alone —
-// through the same batched-certification scan that built the spanner.
+// weight, ties by endpoint ids), and each decision depends only on the
+// candidates and accepted edges before it. An edge insertion splices a
+// candidate into that stream; an edge deletion removes one, and can only
+// change decisions from the earliest accepted edge it matches onward. The
+// earliest such position over a batch is the cut. Everything strictly
+// before it is decided identically on the updated graph, so the engine
+// keeps that accepted prefix verbatim and replays only the stream's tail —
+// pulled from the cut-resumed streamed supply, which skips whole weight
+// buckets below the cut by count alone, using a weight histogram
+// maintained per update — through the same batched-certification scan
+// that built the spanner. Deleting only edges the scan had rejected cuts
+// after the last candidate, so the replay is pure accounting.
 //
-// # How a deletion replays
+// # Why hub arrays survive a graph-mode replay
 //
-// A deletion invalidates the decided *suffix* instead of disturbing a
-// splice point: every candidate pair with a deleted endpoint vanishes from
-// the stream, and each greedy decision depends only on the accepted edges
-// before it. The earliest accepted edge touching a deleted element is
-// therefore the first decision that can change; everything strictly
-// before it was decided on surviving candidates against a spanner prefix
-// made of surviving edges, and is kept verbatim. The replay resumes at
-// that position over the tombstone-filtered supply (the maintained weight
-// histogram is decremented pair-by-pair, so whole buckets below the cut
-// are still skipped by count alone and a delete never re-enumerates the
-// full candidate set). Internally points keep stable ids for life —
-// deletion tombstones an id, insertion appends fresh ones — so the scan
-// order never shifts under renumbering; Result translates to the caller's
-// dense numbering of the survivors, which preserves scan order because
-// the translation is monotone.
-//
-// # Why cached bound rows and hub arrays survive (metric mode)
-//
-// The sparse bound store tags every row with the accepted-edge prefix its
-// bounds were proven on. A row proven on a prefix the replay preserves is
-// proven on a subgraph of every partial spanner the replay will ever hold,
-// and spanner distances only shrink as edges are added — so its entries
-// remain true upper bounds and certify skips exactly as a freshly computed
-// row would. Rows proven past the cut are restored from the nearest
-// digest-verified epoch checkpoint at or below it (see boundStore) and
-// otherwise rebuilt on demand; hub arrays restore from their own
-// checkpoint ring and repair forward by dirty-radius re-relaxation. The
-// prefix argument is what makes checkpoints sound under deletions too:
-// the kept prefix contains no deleted endpoints (the cut precedes every
-// accepted edge that touches one), so state proven on it never depends on
-// a vanished edge or point.
+// Hub arrays synced to an accepted-edge prefix the replay preserves hold
+// distances on a subgraph of every partial spanner the replay will build,
+// and spanner distances only shrink as edges are added, so they stay true
+// upper bounds and repair forward by dirty-radius re-relaxation. Arrays
+// synced past the cut restore the newest digest-verified checkpoint at or
+// below it, or are refreshed whole at the next sync (see
+// HubOracle.Rebase). Edge insertions replay far faster than a rebuild,
+// which is why graph mode keeps this machinery and metric mode does not.
 //
 // # Batching and deferral
 //
-// By default every batch replays immediately, keeping Result always
+// By default every batch is flushed immediately, keeping Result always
 // current. SetPolicy installs a coalescing policy instead: insertions and
-// deletions are validated and applied to the candidate bookkeeping
-// eagerly (the cut and the weight histogram are maintained per call) but
-// the replay is deferred until a query (Result) arrives or the pending
-// operations reach a minimum batch width — so interleaved workloads
-// amortize one replay over a whole run of updates. The flushed result is
-// bit-identical to replaying each batch eagerly, because both equal the
-// from-scratch build on the surviving input.
+// deletions are validated and applied to the maintained input eagerly
+// (in graph mode the cut and the weight histogram too) but the flush is
+// deferred until a query (Result) arrives or the pending operations reach
+// a minimum batch width — so interleaved workloads amortize one flush over
+// a whole run of updates. The flushed result is bit-identical to flushing
+// each batch eagerly, because both equal the from-scratch build on the
+// surviving input.
 //
 // # Concurrency
 //
@@ -81,184 +77,69 @@ import (
 // read the same state a concurrent Flush rewrites, so all calls must be
 // serialized by the caller (the serving layer holds a single writer slot
 // for this). What a concurrent architecture may rely on is that every
-// *Result a flush has returned is immutable from then on — a later
-// replay copies the kept prefix into fresh slices instead of truncating
-// the old ones, and the caller-facing view is remapped into fresh
-// storage whenever a deletion exists. Publishing a returned Result (plus
-// anything derived from it, like Result.Graph) across goroutines is
-// therefore race-free as long as the handoff itself is synchronized;
-// internal/server makes an atomic snapshot swap the only such handoff.
+// *Result a flush has returned is immutable from then on — a metric flush
+// builds a fresh Result, and a graph replay copies the kept prefix into
+// fresh slices instead of truncating the old ones. Publishing a returned
+// Result (plus anything derived from it, like Result.Graph) across
+// goroutines is therefore race-free as long as the handoff itself is
+// synchronized; internal/server makes an atomic snapshot swap the only
+// such handoff.
 type IncrementalSpanner struct {
 	t float64
 
-	// Metric mode: dyn is the stable-id view over the caller's metrics
-	// (nil in graph mode).
-	dyn   *dynMetric
+	// Metric mode: m is the surviving point set in maintained (dense)
+	// order; nil in graph mode.
+	m     metric.Metric
 	mopts MetricParallelOptions
-	bound *boundStore
 
 	// Graph mode. The spanner owns g (a private clone grown by
 	// InsertEdges and shrunk by DeleteEdges).
 	g     *graph.Graph
 	gopts ParallelOptions
 
-	// counts is the candidate set's maintained weight histogram: built
-	// once at construction, then each inserted candidate is tallied and
-	// each deleted one removed as it is discovered (the same loops that
-	// find the cut). Seeding the replay's source with it removes the
-	// counting pass — an update never enumerates the full candidate set,
-	// only the touched pairs and the disturbed tail.
+	// counts is g's maintained edge-weight histogram: built once at
+	// construction, then each inserted edge is tallied and each deleted
+	// one removed. Seeding the replay's source with it removes the
+	// counting pass.
 	counts pairCounts
 
-	// oracle is the maintained hub-label fast path (nil when the engine
-	// options disable hubs); it is rebased across updates exactly as the
-	// bound rows are, and hubs on deleted vertices are replaced.
+	// oracle is graph mode's maintained hub-label fast path (nil when the
+	// engine options disable hubs); it is rebased across replays.
 	oracle *HubOracle
 
 	policy IncrementalPolicy
-	// Deferred-replay state: the earliest scan position any pending
-	// update disturbs and the number of pending operations (inserted
-	// plus deleted elements). pendingCut == nil means no replay is owed.
-	pendingCut *graph.Edge
+	// pendingOps counts the updated elements (inserted plus deleted) a
+	// flush owes; zero means nothing is pending. pendingCut is, in graph
+	// mode, the earliest scan position any pending update disturbs.
 	pendingOps int
+	pendingCut graph.Edge
 
-	// res is the maintained result in the internal id space (stable ids
-	// in metric mode); resView is the caller-facing translation over the
-	// survivors' dense numbering, recomputed at each successful flush
-	// (aliasing res while no deletion ever happened).
-	res        *Result
-	resView    *Result
-	anyDeleted bool
+	// res is the maintained result, over the survivors' dense numbering.
+	res *Result
 }
 
-// dynMetric is the incremental engine's stable-id view over the caller's
-// metric. Internally the greedy scan runs over stable ids that are never
-// renumbered: a deletion tombstones an id, an insertion appends fresh
-// ones. This is what keeps replays bit-identical — remapping a resumed
-// cut into a compacted id space could reorder equal-weight candidates
-// around it, silently changing tie decisions. The live-stable-to-dense
-// translation is monotone, so the stable-space output remaps to exactly
-// the from-scratch build on the survivors.
-//
-// dynMetric implements metric.Metric over the stable id space (Dist is
-// defined on live ids only) and pairEnumerator, which filters tombstoned
-// pairs at collection — the supply never sees a dead candidate.
-type dynMetric struct {
-	// latest is the caller metric from the most recent Insert; between
-	// Inserts it may still contain deleted points.
-	latest metric.Metric
-	// rank maps a stable id to its index in latest (-1 once dead).
-	rank []int
-	// live lists the surviving stable ids in increasing order; position
-	// in this list is the caller-facing dense id.
-	live []int
-	// stableOf maps a latest index back to its stable id (-1 for dead).
-	// Strictly increasing over non-dead entries, which is what makes the
-	// translation monotone.
-	stableOf []int
-	// dead marks tombstoned stable ids.
-	dead []bool
-	// enum enumerates latest's pairs (grid-bucketed for Euclidean).
-	enum pairEnumerator
-}
-
-func newDynMetric(m metric.Metric) *dynMetric {
-	n := m.N()
-	d := &dynMetric{
-		latest:   m,
-		rank:     make([]int, n),
-		live:     make([]int, n),
-		stableOf: make([]int, n),
-		dead:     make([]bool, n),
-		enum:     metricEnumeratorFor(m),
-	}
-	for i := 0; i < n; i++ {
-		d.rank[i], d.live[i], d.stableOf[i] = i, i, i
-	}
-	return d
-}
-
-// N reports the stable-id capacity (live plus tombstoned ids).
-func (d *dynMetric) N() int { return len(d.rank) }
-
-// Dist reports the distance between two live stable ids.
-func (d *dynMetric) Dist(i, j int) float64 {
-	return d.latest.Dist(d.rank[i], d.rank[j])
-}
-
-// Pairs enumerates the surviving candidate pairs of one weight range in
-// stable ids, filtering tombstoned endpoints at collection.
-func (d *dynMetric) Pairs(lo, hi float64, fn func(u, v int, w float64)) {
-	d.enum.Pairs(lo, hi, func(a, b int, w float64) {
-		sa, sb := d.stableOf[a], d.stableOf[b]
-		if sa < 0 || sb < 0 {
-			return
-		}
-		fn(sa, sb, w)
-	})
-}
-
-// extend replaces latest with union — whose first len(live) points are
-// the current survivors in stable-id order — and appends k fresh stable
-// ids for the points beyond them. Tombstoned points drop out of the
-// latest mapping entirely.
-func (d *dynMetric) extend(union metric.Metric, k int) {
-	cap0 := len(d.rank)
-	d.latest = union
-	for j := 0; j < k; j++ {
-		d.rank = append(d.rank, -1)
-		d.dead = append(d.dead, false)
-		d.live = append(d.live, cap0+j)
-	}
-	for sid := range d.rank {
-		d.rank[sid] = -1
-	}
-	d.stableOf = make([]int, len(d.live))
-	for j, sid := range d.live {
-		d.rank[sid] = j
-		d.stableOf[j] = sid
-	}
-	d.enum = metricEnumeratorFor(union)
-}
-
-// kill tombstones the given stable ids.
-func (d *dynMetric) kill(sids []int) {
-	for _, sid := range sids {
-		d.dead[sid] = true
-		d.stableOf[d.rank[sid]] = -1
-		d.rank[sid] = -1
-	}
-	kept := d.live[:0]
-	for _, sid := range d.live {
-		if !d.dead[sid] {
-			kept = append(kept, sid)
-		}
-	}
-	d.live = kept
-}
-
-// IncrementalPolicy controls when an IncrementalSpanner replays pending
-// updates; the zero value replays on every Insert/InsertEdges/Delete/
+// IncrementalPolicy controls when an IncrementalSpanner flushes pending
+// updates; the zero value flushes on every Insert/InsertEdges/Delete/
 // DeleteEdges call.
 type IncrementalPolicy struct {
-	// CoalesceUntilQuery defers the replay until Result or Flush is
+	// CoalesceUntilQuery defers the flush until Result or Flush is
 	// called, however many update calls arrive in between.
 	CoalesceUntilQuery bool
-	// MinBatch defers the replay until at least MinBatch operations
+	// MinBatch defers the flush until at least MinBatch operations
 	// (inserted plus deleted elements) are pending; a query still
 	// flushes earlier. It acts as a flush trigger even when
 	// CoalesceUntilQuery is set.
 	MinBatch int
 }
 
-// coalescing reports whether the policy defers replays at all.
+// coalescing reports whether the policy defers flushes at all.
 func (p IncrementalPolicy) coalescing() bool {
 	return p.CoalesceUntilQuery || p.MinBatch > 1
 }
 
 // SetPolicy installs the batching policy for subsequent updates. Any
 // already-pending updates are flushed first if the new policy would have
-// replayed them (it is eager, or its MinBatch trigger is already met); a
+// flushed them (it is eager, or its MinBatch trigger is already met); a
 // non-nil error is that flush's error, with the pre-flush state preserved
 // (see Flush).
 func (s *IncrementalSpanner) SetPolicy(p IncrementalPolicy) error {
@@ -269,27 +150,28 @@ func (s *IncrementalSpanner) SetPolicy(p IncrementalPolicy) error {
 	return nil
 }
 
-// SetContext installs the context every subsequent replay (and flush) runs
-// under; nil removes it. A cancelled replay aborts with ErrCancelled and
-// preserves the pre-flush state, so the same pending updates can be
-// flushed again under a fresh context.
+// SetContext installs the context every subsequent flush runs under; nil
+// removes it. A cancelled flush aborts with ErrCancelled and preserves the
+// pre-flush state, so the same pending updates can be flushed again under
+// a fresh context.
 func (s *IncrementalSpanner) SetContext(ctx context.Context) {
 	s.mopts.Ctx = ctx
 	s.gopts.Ctx = ctx
 }
 
 // Pending reports how many updated elements (inserted plus deleted) await
-// replay under a coalescing policy.
+// a flush under a coalescing policy.
 func (s *IncrementalSpanner) Pending() int { return s.pendingOps }
 
 // errSupplyOption rejects supply overrides: a maintained spanner must own
-// its candidate supply, because updates resume the stream mid-scan.
+// its candidate supply, because every flush needs a fresh stream over the
+// updated input.
 var errSupplyOption = fmt.Errorf("core: incremental spanner owns its candidate supply; Source and Materialize are not supported")
 
-// checkpointInterval is the accepted-edge cadence at which a maintained
-// spanner snapshots its bound rows and hub arrays: frequent enough that a
-// backward rebase finds a checkpoint close below any cut, rare enough
-// that snapshot copying stays a small fraction of scan time.
+// checkpointInterval is the accepted-edge cadence at which a graph-mode
+// spanner snapshots its hub arrays: frequent enough that a backward rebase
+// finds a checkpoint close below any cut, rare enough that snapshot
+// copying stays a small fraction of scan time.
 func checkpointInterval(n int) int {
 	every := n / 8
 	if every < 32 {
@@ -300,9 +182,8 @@ func checkpointInterval(n int) int {
 
 // NewIncrementalMetric builds the greedy t-spanner of m and returns the
 // maintained spanner ready for point insertions via Insert and deletions
-// via Delete. Workers, BatchSize, BucketPairs, and Stats of opts apply to
-// the initial build and to every replay; Source and Materialize are
-// rejected.
+// via Delete. Every option of opts applies to the initial build and to
+// every flush; Source and Materialize are rejected.
 func NewIncrementalMetric(m metric.Metric, t float64, opts MetricParallelOptions) (*IncrementalSpanner, error) {
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
@@ -310,53 +191,11 @@ func NewIncrementalMetric(m metric.Metric, t float64, opts MetricParallelOptions
 	if opts.Source != nil || opts.Materialize {
 		return nil, errSupplyOption
 	}
-	s := &IncrementalSpanner{t: t, dyn: newDynMetric(m), mopts: opts}
-	n := m.N()
-	s.res = &Result{N: n, Stretch: t}
-	s.resView = s.res
-	s.bound = newBoundStore(n)
-	if opts.GuardRows {
-		s.bound.setGuard()
+	res, err := GreedyMetricFastParallelOpts(m, t, opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: incremental initial build aborted: %w", err)
 	}
-	// Reserve per-row growth headroom up front: insertions then extend
-	// rows in place instead of reallocating the whole row set.
-	s.bound.slack = boundRowSlack(n)
-	s.bound.enableCheckpoints(checkpointInterval(n))
-	// One histogram pass here replaces the source's own counting pass for
-	// the initial build AND every future update's.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s.counts.add(m.Dist(i, j))
-		}
-	}
-	h := graph.New(n)
-	st := s.scanStats()
-	hubs := opts.Hubs
-	resolveHubBudget(opts.Budget, st.degradationSink(), &hubs, n)
-	if hubs > 0 && n > 0 {
-		// Hubs are selected once, on the initial points, and their
-		// arrays carry the same growth slack as the bound rows. The
-		// oracle exists even when the initial set is too small to scan,
-		// so insertions that grow the spanner still get the fast path.
-		s.oracle = NewHubOracle(SelectMetricHubs(m, hubs), h, boundRowSlack(n))
-		s.oracle.EnableCheckpoints(checkpointInterval(n))
-	}
-	if n > 1 {
-		sc := &metricScan{
-			t:       t,
-			workers: opts.Workers,
-			h:       h,
-			bound:   s.bound,
-			oracle:  s.oracle,
-			res:     s.res,
-			stats:   st,
-			env:     s.scanEnvFor(st.degradationSink()),
-		}
-		if err := sc.run(newMetricSourceSeeded(s.dyn, opts.BucketPairs, s.counts), opts.BatchSize); err != nil {
-			return nil, fmt.Errorf("core: incremental initial build aborted: %w", err)
-		}
-	}
-	return s, nil
+	return &IncrementalSpanner{t: t, m: m, mopts: opts, res: res}, nil
 }
 
 // NewIncrementalGraph builds the greedy t-spanner of g and returns the
@@ -374,7 +213,6 @@ func NewIncrementalGraph(g *graph.Graph, t float64, opts ParallelOptions) (*Incr
 	}
 	s := &IncrementalSpanner{t: t, g: g.Clone(), gopts: opts}
 	s.res = &Result{N: g.N(), Stretch: t}
-	s.resView = s.res
 	for _, e := range s.g.Edges() {
 		s.counts.add(e.W)
 	}
@@ -393,7 +231,7 @@ func NewIncrementalGraph(g *graph.Graph, t float64, opts ParallelOptions) (*Incr
 		oracle:  s.oracle,
 		res:     s.res,
 		stats:   st,
-		env:     s.scanEnvFor(st.degradationSink()),
+		env:     newScanEnv(opts.Ctx, opts.Budget, opts.Inject, st.degradationSink()),
 	}
 	if err := sc.run(newGraphEdgeSourceSeeded(s.g, opts.BucketPairs, s.counts), opts.BatchSize); err != nil {
 		return nil, fmt.Errorf("core: incremental initial build aborted: %w", err)
@@ -401,18 +239,9 @@ func NewIncrementalGraph(g *graph.Graph, t float64, opts ParallelOptions) (*Incr
 	return s, nil
 }
 
-// scanStats returns the stats sink for a metric-mode scan — the caller's
-// Stats, zeroed so each build or replay reports its own counters — or a
-// scratch struct so the engine always has one to fill.
-func (s *IncrementalSpanner) scanStats() *MetricParallelStats {
-	st := s.mopts.Stats
-	if st == nil {
-		st = &MetricParallelStats{}
-	}
-	*st = MetricParallelStats{}
-	return st
-}
-
+// graphScanStats returns the stats sink for a graph-mode scan — the
+// caller's Stats, zeroed so each build or replay reports its own counters
+// — or a scratch struct so the engine always has one to fill.
 func (s *IncrementalSpanner) graphScanStats() *ParallelStats {
 	st := s.gopts.Stats
 	if st == nil {
@@ -431,28 +260,27 @@ func (s *IncrementalSpanner) graphScanStats() *ParallelStats {
 // (vertex i is the i-th surviving point in original insertion order).
 func (s *IncrementalSpanner) Result() (*Result, error) {
 	if err := s.Flush(); err != nil {
-		return s.resView, err
+		return s.res, err
 	}
-	return s.resView, nil
+	return s.res, nil
 }
 
-// Flush replays any pending updates now. It is a no-op when nothing is
-// pending (in particular under the default replay-every-batch policy).
+// Flush runs the flush any pending updates owe now: in metric mode one
+// from-scratch build on the survivors, in graph mode a replay of the scan
+// tail from the pending cut. It is a no-op when nothing is pending (in
+// particular under the default flush-every-batch policy).
 //
-// Flush is atomic: either the replay completes and the maintained result
-// advances to the spanner of the updated input, or — on cancellation,
-// deadline, captured panic, or a corrupted guarded row — the maintained
-// result and pending tally are exactly what they were before the call,
-// and a typed error is returned. The same pending updates can then be
-// flushed again (for example under a fresh context via SetContext);
-// cached rows and hub state the aborted replay rebased remain proven on
-// the preserved prefix, so a retry is sound and loses no cache warmth.
-// This holds for deletions exactly as for insertions: a delete's
-// candidate bookkeeping (histogram, tombstones, cut) is applied eagerly
-// at Delete/DeleteEdges time and is not part of the replay, so an
-// aborted replay leaves it intact and a retry resumes from the same cut.
+// Flush is atomic: either it completes and the maintained result advances
+// to the spanner of the updated input, or — on cancellation, deadline,
+// captured panic, or a corrupted guarded row — the maintained result and
+// pending tally are exactly what they were before the call, and a typed
+// error is returned. The same pending updates can then be flushed again
+// (for example under a fresh context via SetContext). This holds for
+// deletions exactly as for insertions: an update's bookkeeping is applied
+// eagerly at Insert/Delete time and is not part of the flush, so an
+// aborted flush leaves it intact.
 func (s *IncrementalSpanner) Flush() (err error) {
-	if s.pendingCut == nil {
+	if s.pendingOps == 0 {
 		return nil
 	}
 	defer func() {
@@ -460,119 +288,54 @@ func (s *IncrementalSpanner) Flush() (err error) {
 			err = fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, panicErr(p))
 		}
 	}()
-	cut := *s.pendingCut
-	var n int
-	if s.dyn != nil {
-		n = s.dyn.N()
+	var res *Result
+	if s.m != nil {
+		res, err = GreedyMetricFastParallelOpts(s.m, s.t, s.mopts)
 	} else {
-		n = s.g.N()
+		res, err = s.replayGraph()
 	}
-	keep := s.prefixLen(cut)
-	res := s.restart(keep, n)
-	h := res.Graph()
-	// The rebase fault-injection window: panics land in the deferred
-	// recover above, a cancellation is observed by the replay scan before
-	// any decision commits, and checkpoint corruption is caught by the
-	// restore-time digests inside the rebases below.
-	var corrupter Corrupter
-	hooks := s.gopts.Inject
-	if s.dyn != nil {
-		hooks = s.mopts.Inject
-		corrupter = rowCorrupter{b: s.bound}
-	}
-	if hooks.OnRebase != nil {
-		hooks.OnRebase(keep, corrupter)
-	}
-	if s.oracle != nil {
-		slack := 0
-		if s.dyn != nil {
-			slack = boundRowSlack(n)
-		}
-		s.oracle.Rebase(keep, n, s.res.Edges, h, slack)
-	}
-	if s.dyn != nil {
-		s.bound.rebase(keep, n)
-		st := s.scanStats()
-		sc := &metricScan{
-			t:       s.t,
-			workers: s.mopts.Workers,
-			h:       h,
-			bound:   s.bound,
-			oracle:  s.oracle,
-			res:     res,
-			stats:   st,
-			env:     s.scanEnvFor(st.degradationSink()),
-		}
-		if err := sc.run(newMetricSourceAfter(s.dyn, s.mopts.BucketPairs, cut, s.counts), s.mopts.BatchSize); err != nil {
-			return fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, err)
-		}
-	} else {
-		st := s.graphScanStats()
-		sc := &graphScan{
-			t:       s.t,
-			workers: s.gopts.Workers,
-			h:       h,
-			oracle:  s.oracle,
-			res:     res,
-			stats:   st,
-			env:     s.scanEnvFor(st.degradationSink()),
-		}
-		if err := sc.run(newGraphEdgeSourceAfter(s.g, s.gopts.BucketPairs, cut, s.counts), s.gopts.BatchSize); err != nil {
-			return fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, err)
-		}
+	if err != nil {
+		return fmt.Errorf("core: flush of %d pending operations aborted; pre-flush state preserved: %w", s.pendingOps, err)
 	}
 	s.res = res
-	s.resView = s.remapResult(res)
-	s.pendingCut = nil
 	s.pendingOps = 0
 	return nil
 }
 
-// remapResult translates the internal stable-space result to the caller's
-// dense numbering over the surviving points. The translation is monotone
-// (stable order is preserved among survivors), so the remapped edge
-// sequence, weight sum, and examined count are exactly what a
-// from-scratch greedy build on the survivors produces. While no deletion
-// ever happened the spaces coincide and res is returned as-is.
-func (s *IncrementalSpanner) remapResult(res *Result) *Result {
-	if s.dyn == nil || !s.anyDeleted {
-		return res
+// replayGraph replays the graph-mode scan from the pending cut: the
+// accepted prefix before the cut is kept verbatim, the hub oracle is
+// rebased onto it, and the tail is drained from the cut-resumed supply.
+func (s *IncrementalSpanner) replayGraph() (*Result, error) {
+	keep := s.prefixLen(s.pendingCut)
+	res := s.restart(keep)
+	h := res.Graph()
+	// The rebase fault-injection window: panics land in Flush's deferred
+	// recover, and a cancellation is observed by the replay scan before
+	// any decision commits.
+	if s.gopts.Inject.OnRebase != nil {
+		s.gopts.Inject.OnRebase(keep)
 	}
-	pos := make([]int, s.dyn.N())
-	for j, sid := range s.dyn.live {
-		pos[sid] = j
+	if s.oracle != nil {
+		s.oracle.Rebase(keep, s.res.Edges, h)
 	}
-	out := &Result{
-		N:             len(s.dyn.live),
-		Stretch:       res.Stretch,
-		Weight:        res.Weight,
-		EdgesExamined: res.EdgesExamined,
-		Partial:       res.Partial,
+	st := s.graphScanStats()
+	sc := &graphScan{
+		t:       s.t,
+		workers: s.gopts.Workers,
+		h:       h,
+		oracle:  s.oracle,
+		res:     res,
+		stats:   st,
+		env:     newScanEnv(s.gopts.Ctx, s.gopts.Budget, s.gopts.Inject, st.degradationSink()),
 	}
-	out.Edges = make([]graph.Edge, len(res.Edges))
-	for i, e := range res.Edges {
-		out.Edges[i] = graph.Edge{U: pos[e.U], V: pos[e.V], W: e.W}
-	}
-	return out
+	return res, sc.run(newGraphEdgeSourceAfter(s.g, s.gopts.BucketPairs, s.pendingCut, s.counts), s.gopts.BatchSize)
 }
 
-// scanEnvFor builds the run environment for one replay from the mode's
-// options (both modes share the incremental spanner's context).
-func (s *IncrementalSpanner) scanEnvFor(record func(string)) *scanEnv {
-	if s.dyn != nil {
-		return newScanEnv(s.mopts.Ctx, s.mopts.Budget, s.mopts.Inject, record)
-	}
-	return newScanEnv(s.gopts.Ctx, s.gopts.Budget, s.gopts.Inject, record)
-}
-
-// notePending folds one update batch's earliest disturbed scan position
-// and element count into the pending state and replays unless the policy
-// defers it. A replay error leaves the update pending (see Flush).
-func (s *IncrementalSpanner) notePending(cut graph.Edge, ops int) error {
-	if s.pendingCut == nil || graph.EdgeLess(cut, *s.pendingCut) {
-		c := cut
-		s.pendingCut = &c
-	}
+// notePending folds one update batch's element count into the pending
+// tally and flushes unless the policy defers it. A flush error leaves the
+// update pending (see Flush). Graph-mode callers lower the cut with
+// noteCut first.
+func (s *IncrementalSpanner) notePending(ops int) error {
 	s.pendingOps += ops
 	if !s.policy.coalescing() || (s.policy.MinBatch > 0 && s.pendingOps >= s.policy.MinBatch) {
 		return s.Flush()
@@ -580,62 +343,38 @@ func (s *IncrementalSpanner) notePending(cut graph.Edge, ops int) error {
 	return nil
 }
 
+// noteCut lowers the pending graph-mode cut to cut.
+func (s *IncrementalSpanner) noteCut(cut graph.Edge) {
+	if s.pendingOps == 0 || graph.EdgeLess(cut, s.pendingCut) {
+		s.pendingCut = cut
+	}
+}
+
 // Insert grows a metric-mode spanner with the points union appends to the
 // current survivors. union must extend the maintained point set: its
-// first Result().N points are the surviving points in their maintained
+// first LiveN() points are the surviving points in their maintained
 // order, with identical pairwise distances, and any points beyond them
-// are the insertions. After the insertion is replayed — immediately by
-// default, at the next Result/Flush or MinBatch trigger under a
-// coalescing policy — the maintained result is bit-identical to a
-// from-scratch greedy build on union.
+// are the insertions. union becomes the maintained point set; after the
+// flush — immediately by default, at the next Result/Flush or MinBatch
+// trigger under a coalescing policy — the maintained result is
+// bit-identical to a from-scratch greedy build on union.
 //
-// Cost scales with the tail of the greedy scan the insertions disturb: the
-// candidate stream is resumed at the first scan position any new pair
-// occupies (everything below it is preserved, never enumerated), and bound
-// rows untouched since that position certify their skips from cache.
-//
-// A non-nil error from a cancelled or faulted replay does NOT reject the
+// A non-nil error from a cancelled or faulted flush does NOT reject the
 // insertion: the points are recorded as pending and the pre-flush spanner
-// is preserved; Flush replays them once the fault clears.
+// is preserved; Flush rebuilds once the fault clears.
 func (s *IncrementalSpanner) Insert(union metric.Metric) error {
-	if s.dyn == nil {
+	if s.m == nil {
 		return fmt.Errorf("core: Insert on a graph-mode incremental spanner (use InsertEdges): %w", graph.ErrInvalidInput)
 	}
-	liveN := len(s.dyn.live)
-	n := union.N()
+	liveN, n := s.m.N(), union.N()
 	if n < liveN {
 		return fmt.Errorf("core: union has %d points, fewer than the current %d: %w", n, liveN, graph.ErrInvalidInput)
 	}
+	s.m = union
 	if n == liveN {
-		s.dyn.extend(union, 0)
 		return nil
 	}
-	// One pass over the O(k*n) new pairs finds the cut — the earliest
-	// scan position any candidate pair touching an inserted point
-	// occupies (candidates strictly before it are exactly the previous
-	// scan's prefix) — and folds the new pairs into the maintained
-	// histogram that seeds the replay's source. Stable ids for the new
-	// points are appended beyond the current capacity.
-	cap0 := len(s.dyn.rank)
-	k := n - liveN
-	cut := graph.Edge{W: math.Inf(1), U: cap0 + k, V: cap0 + k}
-	for z := 0; z < k; z++ {
-		zi := liveN + z // union index of the z-th insertion
-		sz := cap0 + z  // its stable id
-		for i := 0; i < zi; i++ {
-			w := union.Dist(i, zi)
-			s.counts.add(w)
-			si := cap0 + (i - liveN)
-			if i < liveN {
-				si = s.dyn.live[i]
-			}
-			if e := (graph.Edge{U: si, V: sz, W: w}); graph.EdgeLess(e, cut) {
-				cut = e
-			}
-		}
-	}
-	s.dyn.extend(union, k)
-	return s.notePending(cut, k)
+	return s.notePending(n - liveN)
 }
 
 // InsertEdges grows a graph-mode spanner with the given edges (validated
@@ -645,8 +384,9 @@ func (s *IncrementalSpanner) Insert(union metric.Metric) error {
 // maintained result is bit-identical to a from-scratch greedy build on
 // the grown graph.
 //
-// Cost scales with the tail of the greedy scan the insertions disturb,
-// exactly as in Insert.
+// Cost scales with the tail of the greedy scan the insertions disturb:
+// the candidate stream is resumed at the first scan position any new edge
+// occupies, and everything below it is preserved, never enumerated.
 //
 // A non-nil error from a cancelled or faulted replay does NOT reject the
 // insertion: the edges are recorded as pending and the pre-flush spanner
@@ -672,89 +412,79 @@ func (s *IncrementalSpanner) InsertEdges(edges ...graph.Edge) error {
 			cut = e
 		}
 	}
-	return s.notePending(cut, len(edges))
+	s.noteCut(cut)
+	return s.notePending(len(edges))
 }
 
 // Delete removes points from a metric-mode spanner. Points are named by
 // their current maintained indices — positions in the Result numbering,
-// i.e. 0 <= p < Result().N — and must be distinct; on a validation error
-// no state changes. After the deletion is replayed (immediately by
-// default; see IncrementalPolicy), the maintained result is bit-identical
-// to a from-scratch greedy build on the surviving points, renumbered
-// densely in their maintained order.
+// i.e. 0 <= p < LiveN() — and must be distinct; on a validation error no
+// state changes. After the flush (immediately by default; see
+// IncrementalPolicy), the maintained result is bit-identical to a
+// from-scratch greedy build on the surviving points, renumbered densely in
+// their maintained order.
 //
-// Cost scales with the suffix of the greedy scan the deletions disturb:
-// the scan resumes at the earliest accepted edge that touched a deleted
-// point (everything before it is preserved verbatim), checkpointed bound
-// rows and hub arrays restore to that prefix instead of resetting, and
-// the tombstone-filtered supply skips whole weight buckets below the cut
-// by count alone. Deleting points no accepted edge touched costs no
-// replay work at all beyond the bookkeeping.
-//
-// A non-nil error from a cancelled or faulted replay does NOT reject the
+// A non-nil error from a cancelled or faulted flush does NOT reject the
 // deletion: it is recorded as pending and the pre-flush spanner is
-// preserved; Flush replays it once the fault clears.
+// preserved; Flush rebuilds once the fault clears.
 func (s *IncrementalSpanner) Delete(points ...int) error {
-	if s.dyn == nil {
+	if s.m == nil {
 		return fmt.Errorf("core: Delete on a graph-mode incremental spanner (use DeleteEdges): %w", graph.ErrInvalidInput)
 	}
 	if len(points) == 0 {
 		return nil
 	}
-	liveN := len(s.dyn.live)
-	seen := make(map[int]bool, len(points))
+	liveN := s.m.N()
+	gone := make(map[int]bool, len(points))
 	for _, p := range points {
 		if p < 0 || p >= liveN {
 			return fmt.Errorf("core: Delete point %d out of range [0, %d): %w", p, liveN, graph.ErrInvalidInput)
 		}
-		if seen[p] {
+		if gone[p] {
 			return fmt.Errorf("core: Delete point %d listed twice: %w", p, graph.ErrInvalidInput)
 		}
-		seen[p] = true
+		gone[p] = true
 	}
-	capN := s.dyn.N()
-	batch := make([]bool, capN)
-	sids := make([]int, 0, len(points))
-	for _, p := range points {
-		sid := s.dyn.live[p]
-		batch[sid] = true
-		sids = append(sids, sid)
-	}
-	// Remove every candidate pair with a deleted endpoint from the
-	// maintained histogram, each exactly once: a pair inside the batch is
-	// removed by its larger endpoint's iteration only.
-	for _, d := range sids {
-		for _, x := range s.dyn.live {
-			if x == d || (batch[x] && x < d) {
-				continue
-			}
-			s.counts.remove(s.dyn.Dist(d, x))
-		}
-	}
-	// The cut is the earliest accepted edge with a deleted endpoint: every
-	// decision before it was made on surviving candidates against
-	// surviving accepted edges, so the prefix is preserved verbatim. With
-	// no such edge the sentinel sorts after every real candidate (accepted
-	// weights are finite, and even +Inf-weight candidates have U < capN),
-	// so the whole scan is preserved and the replay is pure accounting.
-	cut := graph.Edge{W: math.Inf(1), U: capN, V: capN}
-	for _, e := range s.res.Edges {
-		if batch[e.U] || batch[e.V] {
-			cut = e
-			break
-		}
-	}
-	s.dyn.kill(sids)
-	s.anyDeleted = true
-	if s.oracle != nil {
-		// Hubs on deleted vertices are re-sampled by the same
-		// farthest-point rule the initial selection used and every hub
-		// array rebuilt (the replacement invalidates the rows and the
-		// checkpoint ring wholesale; see ReplaceHubs).
-		s.oracle.ReplaceHubs(s.dyn.dead, s.dyn.live, s.pickReplacementHub)
-	}
-	return s.notePending(cut, len(points))
+	s.m = dropPoints(s.m, gone)
+	return s.notePending(len(points))
 }
+
+// dropPoints returns m without the points marked gone, survivors renumbered
+// densely in their order. A Euclidean metric stays Euclidean (over the
+// same coordinate rows), so rebuilds keep the grid enumerator; any other
+// metric becomes an index view over its base.
+func dropPoints(m metric.Metric, gone map[int]bool) metric.Metric {
+	keep := make([]int, 0, m.N()-len(gone))
+	for i := 0; i < m.N(); i++ {
+		if !gone[i] {
+			keep = append(keep, i)
+		}
+	}
+	switch mm := m.(type) {
+	case *metric.Euclidean:
+		pts := make([][]float64, len(keep))
+		for j, i := range keep {
+			pts[j] = mm.Point(i)
+		}
+		return metric.MustEuclidean(pts)
+	case *survivorView:
+		for j, i := range keep {
+			keep[j] = mm.idx[i]
+		}
+		m = mm.base
+	}
+	return &survivorView{base: m, idx: keep}
+}
+
+// survivorView is a non-Euclidean metric restricted to the surviving
+// points: dense id j is base point idx[j].
+type survivorView struct {
+	base metric.Metric
+	idx  []int
+}
+
+func (v *survivorView) N() int                { return len(v.idx) }
+func (v *survivorView) Dist(i, j int) float64 { return v.base.Dist(v.idx[i], v.idx[j]) }
 
 // DeleteEdges removes edges from a graph-mode spanner. Each edge must
 // match an existing edge exactly (endpoints up to orientation, weight
@@ -766,8 +496,8 @@ func (s *IncrementalSpanner) Delete(points ...int) error {
 //
 // Cost scales with the suffix of the greedy scan the deletions disturb:
 // the scan resumes at the earliest accepted edge matching a deleted
-// value, exactly as in Delete. Deleting only edges the greedy scan had
-// rejected costs no replay work beyond the bookkeeping.
+// value. Deleting only edges the greedy scan had rejected costs no replay
+// work beyond the bookkeeping.
 func (s *IncrementalSpanner) DeleteEdges(edges ...graph.Edge) error {
 	if err := s.ValidateDeleteEdges(edges...); err != nil {
 		return err
@@ -784,7 +514,9 @@ func (s *IncrementalSpanner) DeleteEdges(edges ...graph.Edge) error {
 	// a surviving parallel twin — but it is always sound, and the greedy
 	// scan never accepts two edges of identical value (the first makes
 	// the second's distance test fail for every t >= 1), so accepted
-	// values are unambiguous.
+	// values are unambiguous. With no such edge the sentinel sorts after
+	// every real candidate, so the whole scan is preserved and the replay
+	// is pure accounting.
 	cut := graph.Edge{W: math.Inf(1), U: s.g.N(), V: s.g.N()}
 	for _, e := range s.res.Edges {
 		if _, ok := want[e]; ok {
@@ -799,7 +531,8 @@ func (s *IncrementalSpanner) DeleteEdges(edges ...graph.Edge) error {
 		}
 		s.counts.remove(e.W)
 	}
-	return s.notePending(cut, len(edges))
+	s.noteCut(cut)
+	return s.notePending(len(edges))
 }
 
 // ValidateDeleteEdges checks a DeleteEdges batch against the current
@@ -840,38 +573,6 @@ func (s *IncrementalSpanner) ValidateDeleteEdges(edges ...graph.Edge) error {
 	return nil
 }
 
-// pickReplacementHub is the deletion-time hub re-selection rule: among
-// live points not already serving as hubs, pick the one farthest from the
-// surviving hub set (maximum over candidates of the minimum distance to a
-// live hub), scanning live ids in increasing order so ties resolve to the
-// smallest id — the same ball-growth step SelectMetricHubs grows the
-// initial set by, restarted from the survivors. With no live hub left to
-// measure against every candidate is infinitely far and the smallest live
-// id wins, mirroring the initial selection's fixed starting point. The
-// minimum over the hub set is order-independent, so iterating the
-// membership map stays deterministic.
-func (s *IncrementalSpanner) pickReplacementHub(isHub map[int]bool) int {
-	best, far := -1, math.Inf(-1)
-	for _, c := range s.dyn.live {
-		if isHub[c] {
-			continue
-		}
-		minD := math.Inf(1)
-		//spannerlint:nondeterministic-ok minimum over the hub membership set is order-independent (see doc comment)
-		for h := range isHub {
-			if h < len(s.dyn.dead) && !s.dyn.dead[h] {
-				if d := s.dyn.Dist(c, h); d < minD {
-					minD = d
-				}
-			}
-		}
-		if minD > far {
-			best, far = c, minD
-		}
-	}
-	return best
-}
-
 // prefixLen reports how many of the maintained accepted edges precede cut
 // in scan order — the prefix the replay reproduces verbatim. The accepted
 // sequence is in scan order, so this is a binary search.
@@ -881,11 +582,11 @@ func (s *IncrementalSpanner) prefixLen(cut graph.Edge) int {
 	})
 }
 
-// restart builds the replay's starting Result over n vertices: the first
-// keep accepted edges, re-accumulated in order so the weight sum repeats
-// the exact float64 additions a from-scratch scan performs.
-func (s *IncrementalSpanner) restart(keep, n int) *Result {
-	res := &Result{N: n, Stretch: s.t}
+// restart builds the replay's starting Result: the first keep accepted
+// edges, re-accumulated in order so the weight sum repeats the exact
+// float64 additions a from-scratch scan performs.
+func (s *IncrementalSpanner) restart(keep int) *Result {
+	res := &Result{N: s.g.N(), Stretch: s.t}
 	res.Edges = append(make([]graph.Edge, 0, keep), s.res.Edges[:keep]...)
 	for _, e := range res.Edges {
 		res.Weight += e.W

@@ -234,81 +234,6 @@ func TestIncrementalGraphMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestIncrementalReplaySkipsPreservedWork pins the cost story: inserting a
-// far-away point cuts the scan after every existing candidate, so the
-// replay preserves the whole spanner and re-runs far fewer Dijkstra
-// refreshes than a from-scratch build on the union.
-func TestIncrementalReplaySkipsPreservedWork(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	pts := gen.UniformPoints(rng, 80, 2)
-	m := metric.MustEuclidean(pts)
-	var fullStats MetricParallelStats
-	if _, err := GreedyMetricFastParallelOpts(withPoint(m, []float64{25, 25}), 1.5,
-		MetricParallelOptions{Workers: 1, Stats: &fullStats}); err != nil {
-		t.Fatal(err)
-	}
-	var incStats MetricParallelStats
-	inc, err := NewIncrementalMetric(m, 1.5, MetricParallelOptions{Workers: 1, Stats: &incStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A distant point: every new pair is heavier than all existing pairs,
-	// so the cut lands after the whole previous scan.
-	if err := inc.Insert(withPoint(m, []float64{25, 25})); err != nil {
-		t.Fatal(err)
-	}
-	if got := mustResult(t, inc).Size(); got == 0 {
-		t.Fatal("far point produced no edges")
-	}
-	fullRefreshes := fullStats.SerialRefreshes + fullStats.ParallelRefreshes
-	incRefreshes := incStats.SerialRefreshes + incStats.ParallelRefreshes
-	if incRefreshes*2 >= fullRefreshes {
-		t.Fatalf("replay refreshed %d rows, want well below the from-scratch %d", incRefreshes, fullRefreshes)
-	}
-}
-
-// TestIncrementalCachedRowsSurvive pins the insertion-soundness invariant
-// in action: on a path metric, every bound row is last proven against the
-// weight-1 path edges — the prefix a heavier insertion preserves — so the
-// replay re-examines the heavy old pairs but certifies them straight from
-// the surviving cache, with no refresh at all for pairs between old
-// points.
-func TestIncrementalCachedRowsSurvive(t *testing.T) {
-	pts := make([][]float64, 40)
-	for i := range pts {
-		pts[i] = []float64{float64(i)}
-	}
-	m := metric.MustEuclidean(pts)
-	var incStats MetricParallelStats
-	inc, err := NewIncrementalMetric(m, 1.1, MetricParallelOptions{Workers: 1, Stats: &incStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mustResult(t, inc).Size() != 39 {
-		t.Fatalf("path spanner has %d edges, want 39", mustResult(t, inc).Size())
-	}
-	// The new endpoint is 1.7 away: the cut lands above the weight-1 path
-	// edges, so every old pair with weight >= 2 is re-examined — and must
-	// come out of the surviving cached rows, not fresh Dijkstras.
-	if err := inc.Insert(withPoint(m, []float64{40.7})); err != nil {
-		t.Fatal(err)
-	}
-	reexaminedOldPairs := 39 * 38 / 2 // all (i, j) with j - i >= 2
-	if incStats.CachedSkips < reexaminedOldPairs {
-		t.Fatalf("only %d cached skips in the replay, want >= %d (every re-examined old pair)",
-			incStats.CachedSkips, reexaminedOldPairs)
-	}
-	refreshes := incStats.SerialRefreshes + incStats.ParallelRefreshes
-	if refreshes > 40+1 {
-		t.Fatalf("replay ran %d refreshes, want at most one per new pair", refreshes)
-	}
-	want, err := GreedyMetricFastSerial(withPoint(m, []float64{40.7}), 1.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalResults(t, "path+heavy-point", want, mustResult(t, inc))
-}
-
 // withPoint returns the Euclidean metric of m's points plus p.
 func withPoint(m *metric.Euclidean, p []float64) *metric.Euclidean {
 	pts := make([][]float64, m.N(), m.N()+1)

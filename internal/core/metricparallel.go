@@ -123,12 +123,6 @@ type MetricParallelStats struct {
 	HubQueries int
 	HubSkips   int
 	HubRelaxed int
-	// HubsReselected is the oracle's lifetime count of hubs re-sampled
-	// after their vertex was deleted (see HubOracle.ReplaceHubs). Unlike
-	// the per-scan counters above it accumulates across a maintained
-	// spanner's whole history, because reselection happens at Delete time,
-	// outside any scan; one-shot builds always report 0.
-	HubsReselected int
 	// Degradations logs, in order, each step the engine took down the
 	// resource-budget ladder (supply streamed, batch width floored, hub
 	// oracle dropped, cached rows dropped, ...). Empty for unbudgeted or
@@ -144,25 +138,10 @@ type MetricParallelStats struct {
 // upper bound, and the engine decides every non-certified pair with an
 // exact float64 Dijkstra distance, so the lossy cache can only affect
 // which pairs reach the exact re-check (a sub-percent wider refresh
-// shell), never the decision itself.
-//
-// Each row additionally carries an epoch: the length of the accepted-edge
-// prefix its bounds were proven on (every write stamps the row with the
-// spanner size at proof time). The incremental engine uses the epochs to
-// decide which rows survive an insertion — a row proven on a prefix the
-// union scan preserves verbatim stays a valid set of upper bounds for
-// every later partial spanner of the replay, while rows proven on longer
-// prefixes are dropped (see rebase).
+// shell), never the decision itself. The store lives for one scan: every
+// bound in it was proven on a prefix of that scan's growing spanner.
 type boundStore struct {
 	rows [][]uint16
-	// epochs[u] is the accepted-edge count the latest write to row u was
-	// proven against; meaningless while rows[u] is nil.
-	epochs []int
-	// slack is extra capacity reserved beyond each row's length, so a
-	// maintained store can grow rows in place when points are inserted
-	// instead of reallocating the whole row set per insertion. Zero for
-	// one-shot builds, which never grow.
-	slack int
 	// guard arms per-row checksums (GuardRows): sums[u] is the FNV-1a
 	// digest of row u, recomputed after every legitimate write and
 	// verified before any read-modify of the row and before any skip is
@@ -173,41 +152,13 @@ type boundStore struct {
 	// the digest would launder the corruption into a valid checksum.
 	guard bool
 	sums  []uint64
-	// hist, when checkpointing is enabled (enableCheckpoints), holds up to
-	// maxRowVersions epoch snapshots per row. A snapshot of row u at epoch
-	// e is a copy of the row when its bounds were proven on the first e
-	// accepted edges; a backward rebase to keep >= e edges can restore it
-	// instead of resetting the row, because bounds proven on a prefix the
-	// rebased scan preserves can only overestimate later distances. Each
-	// snapshot carries its own digest, verified at restore time — a
-	// corrupted snapshot is dropped, never restored, so corruption cannot
-	// be laundered through a checkpoint.
-	hist [][]rowVersion
-	// ckptEvery is the accepted-edge interval between snapshot passes
-	// (0 disables checkpointing; one-shot builds never pay for it), and
-	// nextCkpt the accepted count that triggers the next pass.
-	ckptEvery int
-	nextCkpt  int
 }
-
-// rowVersion is one epoch snapshot of a bound row: the accepted-edge
-// prefix it was proven on, a copy of the row, and the copy's digest.
-type rowVersion struct {
-	epoch int
-	data  []uint16
-	sum   uint64
-}
-
-// maxRowVersions bounds how many snapshots a row retains; older versions
-// are evicted, so checkpoint memory is at most maxRowVersions copies of
-// the materialized rows.
-const maxRowVersions = 2
 
 // inf16 is +Inf in the bfloat16 encoding (high 16 bits of float32 +Inf).
 const inf16 = 0x7F80
 
 func newBoundStore(n int) *boundStore {
-	return &boundStore{rows: make([][]uint16, n), epochs: make([]int, n)}
+	return &boundStore{rows: make([][]uint16, n)}
 }
 
 // enc16up encodes a non-negative float64 as the bfloat16 (high half of
@@ -256,7 +207,7 @@ func (b *boundStore) get(u, v int) float64 {
 func (b *boundStore) row(u int) []uint16 {
 	ru := b.rows[u]
 	if ru == nil {
-		ru = make([]uint16, len(b.rows), len(b.rows)+b.slack)
+		ru = make([]uint16, len(b.rows))
 		for i := range ru {
 			ru[i] = inf16
 		}
@@ -330,133 +281,22 @@ func (b *boundStore) verifyPair(u, v int) error {
 
 // clear drops every cached row (the budget ladder's last metric-side
 // step); the cache is only an accelerator, so dropping it cannot change
-// any decision. Checkpoint history goes with the rows — it is the same
-// cache memory the ladder is shedding.
+// any decision.
 func (b *boundStore) clear() {
 	for u := range b.rows {
 		b.rows[u] = nil
-		b.epochs[u] = 0
 		if b.guard {
 			b.sums[u] = 0
 		}
 	}
-	for u := range b.hist {
-		b.hist[u] = nil
-	}
-}
-
-// enableCheckpoints arms periodic row snapshots every `every` accepted
-// edges. Only the incremental engine enables this: one-shot builds never
-// rebase backward, so they skip the copies entirely.
-func (b *boundStore) enableCheckpoints(every int) {
-	if every <= 0 {
-		b.ckptEvery = 0
-		b.hist = nil
-		return
-	}
-	b.ckptEvery = every
-	b.nextCkpt = every
-	b.hist = make([][]rowVersion, len(b.rows))
-}
-
-// maybeCheckpoint snapshots, at a batch boundary with `accepted` edges
-// decided, every materialized row whose proof epoch advanced since its
-// newest snapshot. In guard mode a row failing its live checksum is
-// skipped — a snapshot must only ever hold proven state. Called from
-// serial sections only.
-func (b *boundStore) maybeCheckpoint(accepted int) {
-	if b.ckptEvery <= 0 || accepted < b.nextCkpt {
-		return
-	}
-	for b.nextCkpt <= accepted {
-		b.nextCkpt += b.ckptEvery
-	}
-	for u, ru := range b.rows {
-		if ru == nil {
-			continue
-		}
-		hv := b.hist[u]
-		if len(hv) > 0 && hv[len(hv)-1].epoch == b.epochs[u] {
-			continue // unchanged since its newest snapshot
-		}
-		if b.guard && sumRow(ru) != b.sums[u] {
-			continue // corrupted since its digest; never snapshot it
-		}
-		data := append([]uint16(nil), ru...)
-		hv = append(hv, rowVersion{epoch: b.epochs[u], data: data, sum: sumRow(data)})
-		if len(hv) > maxRowVersions {
-			copy(hv, hv[len(hv)-maxRowVersions:])
-			hv = hv[:maxRowVersions]
-		}
-		b.hist[u] = hv
-	}
-}
-
-// pruneHist drops row u's snapshots proven past the keep prefix: their
-// epochs lie on the timeline the backward rebase is discarding, so they
-// bound distances of spanners the replay will never rebuild.
-func (b *boundStore) pruneHist(u, keep int) {
-	if b.hist == nil || len(b.hist[u]) == 0 {
-		return
-	}
-	hv := b.hist[u][:0]
-	for _, v := range b.hist[u] {
-		if v.epoch <= keep {
-			hv = append(hv, v)
-		}
-	}
-	b.hist[u] = hv
-}
-
-// restoreRow rebuilds row u from its newest surviving snapshot with epoch
-// <= keep, sized to n points, and reports whether it did. Every candidate
-// snapshot's digest is verified first — always, not only in guard mode —
-// and a mismatching version is discarded on the spot, so a corrupted
-// checkpoint degrades to "no checkpoint" instead of restoring poison.
-func (b *boundStore) restoreRow(u, keep, n int) bool {
-	if b.hist == nil {
-		return false
-	}
-	hv := b.hist[u]
-	for len(hv) > 0 {
-		v := hv[len(hv)-1]
-		if v.epoch > keep {
-			hv = hv[:len(hv)-1]
-			continue
-		}
-		if sumRow(v.data) != v.sum {
-			// Corrupted snapshot: drop it, try the older one.
-			hv = hv[:len(hv)-1]
-			continue
-		}
-		ru := b.rows[u]
-		if cap(ru) < n {
-			ru = make([]uint16, n, n+b.slack)
-		} else {
-			ru = ru[:n]
-		}
-		copy(ru, v.data)
-		for i := len(v.data); i < n; i++ {
-			ru[i] = inf16
-		}
-		ru[u] = 0
-		b.rows[u] = ru
-		b.epochs[u] = v.epoch
-		b.hist[u] = hv
-		return true
-	}
-	b.hist[u] = hv
-	return false
 }
 
 // foldRow folds an exact distance row into u's cached bound row,
-// tightening entries that improved. epoch is the accepted-edge count of
-// the spanner the distances were computed on; the row keeps the largest
-// epoch folded into it (entries proven on shorter prefixes are looser,
-// hence still valid upper bounds at the larger epoch). In guard mode the
-// row is verified before the fold — never after, which would launder a
-// corrupted entry into a freshly valid checksum — and re-digested after.
-func (b *boundStore) foldRow(u int, dist []float64, epoch int) error {
+// tightening entries that improved (entries proven on shorter prefixes
+// are looser, hence still valid upper bounds). In guard mode the row is
+// verified before the fold — never after, which would launder a corrupted
+// entry into a freshly valid checksum — and re-digested after.
+func (b *boundStore) foldRow(u int, dist []float64) error {
 	ru := b.row(u)
 	if err := b.verifyRow(u); err != nil {
 		return err
@@ -466,19 +306,16 @@ func (b *boundStore) foldRow(u int, dist []float64, epoch int) error {
 			ru[v] = f
 		}
 	}
-	if epoch > b.epochs[u] {
-		b.epochs[u] = epoch
-	}
 	if b.guard {
 		b.sums[u] = sumRow(ru)
 	}
 	return nil
 }
 
-// set records an accepted edge's weight as a bound on its endpoints.
-// epoch is the accepted-edge count including the edge itself. Guard mode
-// verifies before the write, exactly as foldRow does.
-func (b *boundStore) set(u, v int, w float64, epoch int) error {
+// set records an accepted edge's weight (or a hub-certified bound) as a
+// bound on its endpoints. Guard mode verifies before the write, exactly as
+// foldRow does.
+func (b *boundStore) set(u, v int, w float64) error {
 	ru := b.row(u)
 	if err := b.verifyRow(u); err != nil {
 		return err
@@ -486,98 +323,10 @@ func (b *boundStore) set(u, v int, w float64, epoch int) error {
 	if f := enc16up(w); f < ru[v] {
 		ru[v] = f
 	}
-	if epoch > b.epochs[u] {
-		b.epochs[u] = epoch
-	}
 	if b.guard {
 		b.sums[u] = sumRow(ru)
 	}
 	return nil
-}
-
-// rebase prepares the store for an incremental replay that restarts from
-// the first keep accepted edges of the previous scan, over a vertex set
-// grown to n points: rows whose bounds were proven on a longer prefix are
-// invalidated (their entries may undercut distances in the replay's
-// smaller starting spanner), surviving rows are padded with +Inf entries
-// for the new points, and the store grows to n row slots. Rows untouched
-// since the preserved prefix survive with their cache intact — the
-// insertion soundness invariant: a bound proven on a subgraph of every
-// partial spanner of the replay can only overestimate, never undercut.
-//
-// Backing arrays are recycled: an invalidated row is reset to all-+Inf in
-// place, and rows grow within their reserved slack, so repeated
-// insertions churn no row memory until the slack is exhausted.
-func (b *boundStore) rebase(keep, n int) {
-	b.slack = boundRowSlack(n)
-	for u := range b.rows {
-		b.pruneHist(u, keep)
-		ru := b.rows[u]
-		if ru == nil {
-			continue
-		}
-		if b.guard && sumRow(ru) != b.sums[u] {
-			// The row was corrupted since its last digest and never
-			// consulted. Migrating it would launder the corruption into a
-			// fresh checksum; dropping it is sound — a dropped row is
-			// merely unproven and is rebuilt on demand. A digest-verified
-			// checkpoint at or below the keep prefix may still stand in.
-			b.rows[u] = nil
-			b.epochs[u] = 0
-			b.restoreRow(u, keep, n)
-			continue
-		}
-		stale := b.epochs[u] > keep
-		if stale && b.restoreRow(u, keep, n) {
-			// Backward rebase: the row was proven past the keep prefix, but
-			// a checkpoint at or below it survives — restore that instead
-			// of resetting, so the replay starts with warm proven bounds.
-			continue
-		}
-		old := len(ru)
-		switch {
-		case cap(ru) >= n:
-			// Grow in place within the reserved slack.
-			ru = ru[:n]
-			b.rows[u] = ru
-		case stale:
-			// Stale and too small: nothing worth keeping.
-			b.rows[u] = nil
-			b.epochs[u] = 0
-			continue
-		default:
-			grown := make([]uint16, n, n+b.slack)
-			copy(grown, ru)
-			ru, b.rows[u] = grown, grown
-		}
-		if stale {
-			// Reset the recycled array to "unknown"; the row is now as
-			// good as freshly materialized.
-			old = 0
-			b.epochs[u] = 0
-		}
-		for v := old; v < n; v++ {
-			ru[v] = inf16
-		}
-		ru[u] = 0
-	}
-	for len(b.rows) < n {
-		b.rows = append(b.rows, nil)
-		b.epochs = append(b.epochs, 0)
-	}
-	if b.hist != nil {
-		for len(b.hist) < n {
-			b.hist = append(b.hist, nil)
-		}
-	}
-	if b.guard {
-		b.sums = make([]uint64, n)
-		for u, ru := range b.rows {
-			if ru != nil {
-				b.sums[u] = sumRow(ru)
-			}
-		}
-	}
 }
 
 // rowCorrupter is the Corrupter handle the metric engines hand to the
@@ -592,44 +341,6 @@ func (c rowCorrupter) FlipRowBit(u, v int, bit uint) bool {
 	}
 	c.b.rows[u][v] ^= 1 << (bit % 16)
 	return true
-}
-
-// FlipCheckpointBit flips one bit in the newest checkpoint snapshot of
-// row u (scanning forward with wraparound to the first row that has one)
-// without touching the snapshot's stored digest — the simulated fault
-// that must surface at restore time as a dropped snapshot, never as
-// restored poison. Reports false when no snapshot exists to corrupt.
-func (c rowCorrupter) FlipCheckpointBit(u, v int, bit uint) bool {
-	b := c.b
-	n := len(b.hist)
-	if n == 0 {
-		return false
-	}
-	u = ((u % n) + n) % n
-	for i := 0; i < n; i++ {
-		hv := b.hist[(u+i)%n]
-		if len(hv) == 0 {
-			continue
-		}
-		data := hv[len(hv)-1].data
-		if len(data) == 0 {
-			continue
-		}
-		col := ((v % len(data)) + len(data)) % len(data)
-		data[col] ^= 1 << (bit % 16)
-		return true
-	}
-	return false
-}
-
-// boundRowSlack is the growth headroom a maintained store reserves per
-// row: enough that a stream of small insertions grows rows in place.
-func boundRowSlack(n int) int {
-	s := n / 8
-	if s < 64 {
-		s = 64
-	}
-	return s
 }
 
 // GreedyMetricFastParallel computes the greedy t-spanner of a finite metric
@@ -715,9 +426,7 @@ func GreedyMetricFastParallelOpts(m metric.Metric, t float64, opts MetricParalle
 
 // metricScan bundles the state of one batched cached-bound greedy scan:
 // the partial spanner, the sparse bound store, and the result being
-// accumulated. A fresh build starts it empty; the incremental engine
-// starts it at the preserved prefix of a previous scan (with the bound
-// store rebased) and drains only the tail of the candidate stream.
+// accumulated.
 type metricScan struct {
 	t       float64
 	workers int // <= 0 selects GOMAXPROCS
@@ -746,10 +455,8 @@ const hubRefreshRadiusFactor = 2
 
 // run drains src through the batched-certification scan, appending every
 // accept to the scan's result; batchSize <= 0 selects adaptive batching.
-// On clean completion the returned error is nil, the stats are final, and
-// any candidates a cut-resumed source suppressed are folded into
-// EdgesExamined, so a resumed scan accounts for exactly the candidates a
-// full scan examines. On cancellation, deadline, captured panic, injected
+// On clean completion the returned error is nil and the stats are final.
+// On cancellation, deadline, captured panic, injected
 // fault, or a guarded checksum failure the scan stops committing
 // immediately: the result holds the exact decided prefix of the reference
 // edge sequence (Partial set) and a typed error is returned. Every worker
@@ -794,7 +501,7 @@ func (sc *metricScan) run(src CandidateSource, batchSize int) (err error) {
 		} else {
 			serial.Distances(h, u, row)
 		}
-		if ferr := bound.foldRow(u, row, len(res.Edges)); ferr != nil {
+		if ferr := bound.foldRow(u, row); ferr != nil {
 			return 0, ferr
 		}
 		stats.SerialRefreshes++
@@ -802,9 +509,8 @@ func (sc *metricScan) run(src CandidateSource, batchSize int) (err error) {
 		return row[v], nil
 	}
 	// hubCertify answers one certification query from the hub labels and
-	// pre-seeds the pair's bound row with the certified bound (stamped
-	// with the epoch it was proven at), so the cache layer and the oracle
-	// compound: the next pair out of u at this scale certifies from the
+	// pre-seeds the pair's bound row with the certified bound, so the cache
+	// layer and the oracle compound: the next pair out of u at this scale certifies from the
 	// row without even the O(k) hub scan.
 	hubCertify := func(u, v int, limit float64) (bool, error) {
 		stats.HubQueries++
@@ -813,13 +519,13 @@ func (sc *metricScan) run(src CandidateSource, batchSize int) (err error) {
 			return false, nil
 		}
 		stats.HubSkips++
-		return true, bound.set(u, v, b, oracle.Epoch())
+		return true, bound.set(u, v, b)
 	}
 	accept := func(e graph.Edge) error {
 		h.MustAddEdge(e.U, e.V, e.W)
 		res.Edges = append(res.Edges, e)
 		res.Weight += e.W
-		if serr := bound.set(e.U, e.V, e.W, len(res.Edges)); serr != nil {
+		if serr := bound.set(e.U, e.V, e.W); serr != nil {
 			return serr
 		}
 		if oracle != nil {
@@ -833,11 +539,9 @@ func (sc *metricScan) run(src CandidateSource, batchSize int) (err error) {
 		if bs, ok := src.(*bucketedSource); ok {
 			stats.PeakBucketPairs = bs.PeakBucket()
 			stats.SupplyPasses = bs.Passes()
-			res.EdgesExamined += bs.Skipped()
 		}
 		if oracle != nil {
 			stats.HubRelaxed = oracle.Relaxed() - relaxed0
-			stats.HubsReselected = oracle.Reselected()
 		}
 	}
 	// checkBudget walks the in-scan degradation ladder at batch
@@ -937,7 +641,6 @@ func (sc *metricScan) run(src CandidateSource, batchSize int) (err error) {
 				}
 				res.EdgesExamined++
 			}
-			bound.maybeCheckpoint(len(res.Edges))
 		}
 		stats.FinalBatchSize = serialBatchStat(batchSize, res.EdgesExamined)
 		finish()
@@ -1044,12 +747,9 @@ func (sc *metricScan) run(src CandidateSource, batchSize int) (err error) {
 		// by exactly one worker; workers read only h and their own
 		// scratch, and additionally record each of their pairs' exact
 		// snapshot distances (disjoint exact[i] slots), so the only
-		// synchronization needed is the join. The rows are stamped with
-		// the snapshot's accepted-edge count — the prefix their bounds
-		// are proven on. A worker converts its own panic into a typed
+		// synchronization needed is the join. A worker converts its own panic into a typed
 		// error and bails out early on cancellation or a checksum
 		// failure; either way it reaches wg.Done, so the pool drains.
-		snapEdges := len(res.Edges)
 		var wg sync.WaitGroup
 		chunk := (len(sources) + workers - 1) / workers
 		for w := 0; w < workers && w*chunk < len(sources); w++ {
@@ -1084,7 +784,7 @@ func (sc *metricScan) run(src CandidateSource, batchSize int) (err error) {
 						search.Distances(h, u, scratch)
 					}
 					//spannerlint:ignore frozensnap rows are owner-partitioned: each u in rows[w] is folded by exactly one worker
-					if ferr := bound.foldRow(u, scratch, snapEdges); ferr != nil {
+					if ferr := bound.foldRow(u, scratch); ferr != nil {
 						errs[w] = ferr
 						return
 					}
@@ -1161,8 +861,6 @@ func (sc *metricScan) run(src CandidateSource, batchSize int) (err error) {
 			res.EdgesExamined++
 			acceptedInBatch = true
 		}
-
-		bound.maybeCheckpoint(len(res.Edges))
 
 		// Adapt only on full-width rounds: a batch truncated at a bucket
 		// boundary says nothing about snapshot staleness, the signal the

@@ -145,14 +145,14 @@ type bucketedSource struct {
 	// count alone — never enumerated, materialized, or sorted — and the
 	// one bucket straddling the cut is filtered after its sort. Dropped
 	// candidates are tallied in skipped so callers can keep exact
-	// examined-pair accounting. This is how the incremental engine resumes
-	// a greedy scan at the first position an inserted candidate occupies.
+	// examined-pair accounting. This is how the graph-mode incremental
+	// engine resumes a greedy scan at the first position an update disturbs.
 	cut *graph.Edge
 	// skipped counts candidates suppressed by cut.
 	skipped int
 	// seed, when non-nil, replaces open's counting pass: the caller
-	// already knows the candidate set's weight histogram (the incremental
-	// engine maintains it across insertions), so the source never has to
+	// already knows the candidate set's weight histogram (the graph-mode
+	// incremental engine maintains it across updates), so the source never has to
 	// enumerate the full candidate set just to bucket it.
 	seed *pairCounts
 	// alloc is the bucket buffer's target capacity, fixed at open time to
@@ -192,12 +192,6 @@ func newBucketedSource(enum pairEnumerator, bucketPairs int) *bucketedSource {
 // enumerator of internal/geom for Euclidean metrics, brute force
 // otherwise.
 func metricEnumeratorFor(m metric.Metric) pairEnumerator {
-	if pe, ok := m.(pairEnumerator); ok {
-		// A metric that enumerates its own pairs (the incremental engine's
-		// tombstone-aware view) supplies them directly: it filters deleted
-		// pairs at collection, so the supply never sees a dead candidate.
-		return pe
-	}
 	if eu, ok := m.(*metric.Euclidean); ok && eu.N() > 0 {
 		pts := make([][]float64, eu.N())
 		for i := range pts {
@@ -222,24 +216,6 @@ func NewMetricSource(m metric.Metric, bucketPairs int) CandidateSource {
 	return newBucketedSource(metricEnumeratorFor(m), bucketPairs)
 }
 
-// newMetricSourceSeeded is NewMetricSource with the counting pass replaced
-// by a caller-maintained weight histogram; see bucketedSource.seed.
-func newMetricSourceSeeded(m metric.Metric, bucketPairs int, counts pairCounts) *bucketedSource {
-	s := newBucketedSource(metricEnumeratorFor(m), bucketPairs)
-	s.seed = &counts
-	return s
-}
-
-// newMetricSourceAfter is newMetricSourceSeeded with the scan resumed at
-// cut: candidates strictly before cut in scan order are counted into
-// Skipped instead of emitted, and whole weight buckets below the cut are
-// skipped by count alone without ever enumerating their pairs.
-func newMetricSourceAfter(m metric.Metric, bucketPairs int, cut graph.Edge, counts pairCounts) *bucketedSource {
-	s := newMetricSourceSeeded(m, bucketPairs, counts)
-	s.cut = &cut
-	return s
-}
-
 // NewGraphEdgeSource returns the streaming supply over g's edge list in
 // greedy scan order. It replaces the sorted O(m) copy of SortedEdges with
 // per-bucket collection: one O(m) counting pass, then for each weight
@@ -249,16 +225,19 @@ func NewGraphEdgeSource(g *graph.Graph, bucketPairs int) CandidateSource {
 	return newBucketedSource(graphEdgeEnumerator{g: g}, bucketPairs)
 }
 
-// newGraphEdgeSourceSeeded is NewGraphEdgeSource with a caller-maintained
-// weight histogram; see newMetricSourceSeeded.
+// newGraphEdgeSourceSeeded is NewGraphEdgeSource with the counting pass
+// replaced by a caller-maintained weight histogram; see
+// bucketedSource.seed.
 func newGraphEdgeSourceSeeded(g *graph.Graph, bucketPairs int, counts pairCounts) *bucketedSource {
 	s := newBucketedSource(graphEdgeEnumerator{g: g}, bucketPairs)
 	s.seed = &counts
 	return s
 }
 
-// newGraphEdgeSourceAfter is NewGraphEdgeSource resumed at cut; see
-// newMetricSourceAfter.
+// newGraphEdgeSourceAfter is newGraphEdgeSourceSeeded with the scan
+// resumed at cut: candidates strictly before cut in scan order are counted
+// into Skipped instead of emitted, and whole weight buckets below the cut
+// are skipped by count alone without ever enumerating their pairs.
 func newGraphEdgeSourceAfter(g *graph.Graph, bucketPairs int, cut graph.Edge, counts pairCounts) *bucketedSource {
 	s := newGraphEdgeSourceSeeded(g, bucketPairs, counts)
 	s.cut = &cut
@@ -271,9 +250,10 @@ const expOffset = 1075
 
 // pairCounts is the weight histogram of a candidate set — per-binary-
 // exponent counts plus dedicated zero and +Inf tallies, exactly the
-// product of the bucketed source's counting pass. The incremental engine
-// maintains one across insertions (each new candidate is added once) and
-// seeds its sources with it, so a resumed scan never enumerates the full
+// product of the bucketed source's counting pass. The graph-mode
+// incremental engine maintains one across edge updates (each inserted
+// candidate is added once, each deleted one removed) and seeds its
+// sources with it, so a resumed scan never enumerates the full
 // candidate set just to bucket it.
 type pairCounts struct {
 	exp   [expOffset + 1025]int
@@ -296,7 +276,7 @@ func (c *pairCounts) add(w float64) {
 }
 
 // remove un-tallies one candidate weight; the exact inverse of add. The
-// incremental engine calls it when a deletion retires a candidate pair, so
+// graph-mode incremental engine calls it when a deletion retires an edge, so
 // the maintained histogram stays the histogram of the surviving set and a
 // resumed scan's bucket layout matches what a fresh counting pass over the
 // survivors would build.

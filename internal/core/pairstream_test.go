@@ -232,9 +232,9 @@ func TestStreamedPairOrderInfiniteWeights(t *testing.T) {
 }
 
 // TestStreamedPairOrderSeededCounts checks the seeded supply: a source
-// given a caller-maintained weight histogram (the incremental engine's
-// mode) must emit exactly the sequence the self-counting source emits,
-// and honor a cut with identical Skipped accounting.
+// given a caller-maintained weight histogram (the graph-mode incremental
+// engine's mode) must emit exactly the sequence the self-counting source
+// emits, and honor a cut with identical Skipped accounting.
 func TestStreamedPairOrderSeededCounts(t *testing.T) {
 	for name, m := range testMetrics(t) {
 		var counts pairCounts
@@ -245,12 +245,17 @@ func TestStreamedPairOrderSeededCounts(t *testing.T) {
 			}
 		}
 		want := sortedPairs(m)
-		got := drainSource(newMetricSourceSeeded(m, 64, counts), []int{9, 100})
+		seeded := func(cut *graph.Edge) *bucketedSource {
+			src := newBucketedSource(metricEnumeratorFor(m), 64)
+			src.seed, src.cut = &counts, cut
+			return src
+		}
+		got := drainSource(seeded(nil), []int{9, 100})
 		equalEdgeSeq(t, name+"/seeded", want, got)
 		// Cut at the median candidate: emitted tail + skipped count must
 		// partition the scan exactly.
 		cut := want[len(want)/2]
-		src := newMetricSourceAfter(m, 64, cut, counts)
+		src := seeded(&cut)
 		tail := drainSource(src, []int{13})
 		equalEdgeSeq(t, name+"/seeded-cut", want[len(want)/2:], tail)
 		if src.Skipped() != len(want)/2 {

@@ -91,16 +91,12 @@ type InjectionHooks struct {
 	// pulled, with the 0-based batch index and the engine's Corrupter
 	// (nil when the engine holds no corruptible cache).
 	OnBatch func(batch int, c Corrupter)
-	// OnRebase runs serially inside IncrementalSpanner.Flush, after the
-	// replay's keep prefix is decided but before the bound store and hub
-	// oracle rebase onto it — the window where backward-rebase faults
-	// (panic, stall, cancellation, checkpoint corruption) land. keep is
-	// the preserved accepted-edge count; c is the engine's Corrupter (nil
-	// when the engine holds no corruptible cache). Corrupters handed to
-	// this hook may additionally implement FlipCheckpointBit (see
-	// internal/chaos) to corrupt checkpoint snapshots rather than live
-	// rows.
-	OnRebase func(keep int, c Corrupter)
+	// OnRebase runs serially inside a graph-mode IncrementalSpanner.Flush,
+	// after the replay's keep prefix is decided but before the hub oracle
+	// rebases onto it — the window where rebase faults (panic, stall,
+	// cancellation) land. keep is the preserved accepted-edge count.
+	// Metric-mode flushes are one from-scratch build and have no rebase.
+	OnRebase func(keep int)
 }
 
 func (h InjectionHooks) active() bool {

@@ -279,14 +279,13 @@ func TestPanicBecomesTypedError(t *testing.T) {
 }
 
 // TestGuardRowsChecksum exercises the boundStore guard directly: a bit
-// flip that bypasses the store is caught by verifyRow, foldRow, and set,
-// and is NOT laundered by rebase (the corrupted row is dropped instead of
-// migrated with a fresh digest).
+// flip that bypasses the store is caught by verifyRow, verifyPair,
+// foldRow, and set, and none of them launders it into a fresh digest.
 func TestGuardRowsChecksum(t *testing.T) {
 	b := newBoundStore(6)
 	b.setGuard()
 	dist := []float64{0, 1, 2, 3, 4, 5}
-	if err := b.foldRow(0, dist, 1); err != nil {
+	if err := b.foldRow(0, dist); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.verifyRow(0); err != nil {
@@ -301,24 +300,22 @@ func TestGuardRowsChecksum(t *testing.T) {
 	if err := b.verifyPair(3, 0); !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("verifyPair after flip: %v", err)
 	}
-	if err := b.foldRow(0, dist, 2); !errors.Is(err, ErrCorruptState) {
+	if err := b.foldRow(0, dist); !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("foldRow must verify before folding: %v", err)
 	}
-	if err := b.set(0, 2, 0.5, 2); !errors.Is(err, ErrCorruptState) {
+	if err := b.set(0, 2, 0.5); !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("set must verify before writing: %v", err)
 	}
-	// rebase drops the corrupted row rather than re-digesting it.
-	b.rebase(1, 6)
-	if b.rows[0] != nil {
-		t.Fatalf("rebase migrated a corrupted row")
+	// The rejected writes did not re-digest the damaged row, and a healthy
+	// row is unaffected.
+	if err := b.verifyRow(0); !errors.Is(err, ErrCorruptState) {
+		t.Fatalf("corruption laundered by a rejected write: %v", err)
 	}
-	// An untouched healthy row survives rebase with a valid digest.
-	if err := b.foldRow(1, dist, 1); err != nil {
+	if err := b.foldRow(1, dist); err != nil {
 		t.Fatal(err)
 	}
-	b.rebase(1, 8)
 	if err := b.verifyRow(1); err != nil {
-		t.Fatalf("healthy row fails after rebase: %v", err)
+		t.Fatalf("healthy row fails its checksum: %v", err)
 	}
 }
 

@@ -91,9 +91,9 @@ func TestStateRoundTripMetric(t *testing.T) {
 				t.Fatalf("%s: imported policy %+v, want %+v", label, g, w)
 			}
 			// Drive both spanners onward identically; the digests must
-			// stay locked at every step, proving the imported candidate
-			// bookkeeping (histogram, stable ids, bound epochs, hub set)
-			// is the original's, not merely result-equal.
+			// stay locked at every step, proving the imported point set,
+			// its order, and the policy are the original's, not merely
+			// result-equal.
 			a2, p2 := driveMetric(t, inc, uni, append([]int(nil), alive...), pool, label+"/orig")
 			b2, q2 := driveMetric(t, imp, uni, append([]int(nil), alive...), pool, label+"/imported")
 			if len(a2) != len(b2) || p2 != q2 {
@@ -184,8 +184,8 @@ func TestStateExportFlushesPending(t *testing.T) {
 	if inc.Pending() != 0 {
 		t.Fatalf("export left %d ops pending", inc.Pending())
 	}
-	if len(st.Edges) == 0 || st.Cap != 8 {
-		t.Fatalf("exported state looks unflushed: %d edges, cap %d", len(st.Edges), st.Cap)
+	if len(st.Edges) == 0 || st.N != 8 {
+		t.Fatalf("exported state looks unflushed: %d edges, %d points", len(st.Edges), st.N)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestStateExportFlushesPending(t *testing.T) {
 func TestImportRejectsCorruptState(t *testing.T) {
 	uni := traceMetric(1)
 	alive := []int{0, 1, 2, 3, 4, 5, 6}
-	build := func() *SpannerState {
+	buildMetric := func() *SpannerState {
 		inc, err := NewIncrementalMetric(restrictMetric(uni, alive), 1.6, MetricParallelOptions{Workers: 1, Hubs: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -209,55 +209,63 @@ func TestImportRejectsCorruptState(t *testing.T) {
 		}
 		return st
 	}
+	buildGraph := func() *SpannerState {
+		g := graph.New(8)
+		for i := 0; i < 7; i++ {
+			g.MustAddEdge(i, i+1, float64(1+i%3))
+		}
+		g.MustAddEdge(0, 7, 4.5)
+		inc, err := NewIncrementalGraph(g, 1.5, ParallelOptions{Workers: 1, Hubs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := inc.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	cases := []struct {
-		name string
-		mut  func(st *SpannerState)
+		name  string
+		build func() *SpannerState
+		mut   func(st *SpannerState)
 	}{
-		{"live id out of range", func(st *SpannerState) { st.Live[0] = st.Cap }},
-		{"live ids unsorted", func(st *SpannerState) { st.Live[0], st.Live[1] = st.Live[1], st.Live[0] }},
-		{"edge endpoint dead", func(st *SpannerState) { st.Edges[0].U = 2 }},
-		{"edge out of order", func(st *SpannerState) {
+		{"negative point count", buildMetric, func(st *SpannerState) { st.N = -1 }},
+		{"edge endpoint out of range", buildMetric, func(st *SpannerState) { st.Edges[0].V = st.N }},
+		{"edge not canonical", buildMetric, func(st *SpannerState) { st.Edges[0].U, st.Edges[0].V = st.Edges[0].V, st.Edges[0].U }},
+		{"edge out of order", buildMetric, func(st *SpannerState) {
 			st.Edges[0], st.Edges[len(st.Edges)-1] = st.Edges[len(st.Edges)-1], st.Edges[0]
 		}},
-		{"weight mismatch", func(st *SpannerState) { st.Weight *= 2 }},
-		{"negative examined", func(st *SpannerState) { st.EdgesExamined = -1 }},
-		{"histogram drift", func(st *SpannerState) { st.HistZeros += 3 }},
-		{"coords truncated", func(st *SpannerState) { st.Coords = st.Coords[:len(st.Coords)-1] }},
-		{"metric kind unknown", func(st *SpannerState) { st.MetricKind = 99 }},
-		{"bound rows missing", func(st *SpannerState) { st.BoundRows = st.BoundRows[:1] }},
-		{"bound row short", func(st *SpannerState) {
-			for u := range st.BoundRows {
-				if st.BoundRows[u] != nil {
-					st.BoundRows[u] = st.BoundRows[u][:1]
-					return
-				}
-			}
-		}},
-		{"bound epoch beyond accepted", func(st *SpannerState) {
-			for u := range st.BoundRows {
-				if st.BoundRows[u] != nil {
-					st.BoundEpochs[u] = len(st.Edges) + 1
-					return
-				}
-			}
-		}},
-		{"hub out of range", func(st *SpannerState) { st.Hubs[0] = -1 }},
-		{"hub duplicated", func(st *SpannerState) { st.Hubs[0] = st.Hubs[1] }},
-		{"hub epoch drift", func(st *SpannerState) { st.HubEpoch++ }},
-		{"hub row short", func(st *SpannerState) { st.HubRows[0] = st.HubRows[0][:1] }},
-		{"hub row NaN", func(st *SpannerState) { st.HubRows[0][0] = nan() }},
+		{"weight mismatch", buildMetric, func(st *SpannerState) { st.Weight *= 2 }},
+		{"negative examined", buildMetric, func(st *SpannerState) { st.EdgesExamined = -1 }},
+		{"coords truncated", buildMetric, func(st *SpannerState) { st.Coords = st.Coords[:len(st.Coords)-1] }},
+		{"metric kind unknown", buildMetric, func(st *SpannerState) { st.MetricKind = 99 }},
+		{"metric state with hubs", buildMetric, func(st *SpannerState) { st.Hubs = []int{0} }},
+		{"hub out of range", buildGraph, func(st *SpannerState) { st.Hubs[0] = -1 }},
+		{"hub duplicated", buildGraph, func(st *SpannerState) { st.Hubs[0] = st.Hubs[1] }},
+		{"hub rows missing", buildGraph, func(st *SpannerState) { st.HubRows = st.HubRows[:1] }},
+		{"hub row short", buildGraph, func(st *SpannerState) { st.HubRows[0] = st.HubRows[0][:1] }},
+		{"hub row NaN", buildGraph, func(st *SpannerState) { st.HubRows[0][0] = nan() }},
+		{"graph edge invalid", buildGraph, func(st *SpannerState) { st.GraphEdges[0].W = -1 }},
+	}
+	opts := func() (MetricParallelOptions, ParallelOptions) {
+		return MetricParallelOptions{Workers: 1}, ParallelOptions{Workers: 1}
 	}
 	for _, tc := range cases {
-		st := build()
+		st := tc.build()
 		tc.mut(st)
-		if _, err := ImportIncremental(st, MetricParallelOptions{Workers: 1}, ParallelOptions{}); !errors.Is(err, ErrCorruptState) {
+		mo, gopt := opts()
+		if _, err := ImportIncremental(st, mo, gopt); !errors.Is(err, ErrCorruptState) {
 			t.Errorf("%s: got %v, want ErrCorruptState", tc.name, err)
 		}
 	}
-	// A pristine state still imports: the corruption cases above are not
+	// Pristine states still import: the corruption cases above are not
 	// rejecting everything.
-	if _, err := ImportIncremental(build(), MetricParallelOptions{Workers: 1}, ParallelOptions{}); err != nil {
-		t.Errorf("pristine state rejected: %v", err)
+	for _, build := range []func() *SpannerState{buildMetric, buildGraph} {
+		mo, gopt := opts()
+		if _, err := ImportIncremental(build(), mo, gopt); err != nil {
+			t.Errorf("pristine state rejected: %v", err)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package persist is the durability layer for maintained spanners: a
-// versioned, digest-verified binary snapshot format for the full
+// versioned, digest-verified binary snapshot format for the maintained
 // IncrementalSpanner state plus a write-ahead log of dynamic operations,
 // with the crash-recovery guarantee the rest of the repo's robustness
 // machinery demands — recovery after a crash at ANY point is bit-identical
@@ -24,13 +24,16 @@
 //
 // Open loads the newest snapshot whose header and per-section digests
 // verify (an unreadable newer snapshot is dropped, never half-trusted),
-// imports it through core.ImportIncremental, and replays the bound WAL's
-// records in order. The first torn or digest-failing record ends the
+// imports it through core.ImportIncremental, and applies the bound WAL's
+// records in order. Replay applies each record's bookkeeping with every
+// flush deferred — logged flushes and eager policies included — and then
+// runs at most one flush, so recovery costs at most one rebuild however
+// long the log is. The first torn or digest-failing record ends the
 // replay at that exact prefix and the tail is truncated; a record that
 // fails its digest is never applied, and a structurally invalid record
 // with a valid digest (real corruption, impossible from a crash) surfaces
 // as an error wrapping core.ErrCorruptState. Unknown format versions
-// surface as ErrUnsupportedVersion.
+// surface as ErrUnsupportedVersion; version-1 snapshots still load.
 //
 // # Crash injection
 //

@@ -217,7 +217,7 @@ func (d *Durable) adoptState(st *core.SpannerState) {
 	d.metricKind = st.MetricKind
 	d.dim = st.Dim
 	d.graphN = st.GraphN
-	d.liveN = len(st.Live)
+	d.liveN = st.N
 	if d.graphMode {
 		return
 	}
@@ -265,11 +265,14 @@ func (d *Durable) openWal() error {
 
 // Open recovers a Durable from dir: the newest digest-valid snapshot is
 // imported and its bound WAL replayed record by record, truncating the
-// log at the first torn or digest-failing record. A directory with no
-// snapshot returns ErrNoState; a snapshot none of whose generations
-// verify, a WAL bound to the wrong snapshot, or a digest-valid but
-// structurally invalid record return errors wrapping core.ErrCorruptState;
-// foreign format versions return ErrUnsupportedVersion. Like Create,
+// log at the first torn or digest-failing record. Replay applies every
+// record's bookkeeping and then runs at most one flush, so recovery costs
+// at most one rebuild however long the log is (see replayWal). A
+// directory with no snapshot returns ErrNoState; a snapshot none of whose
+// generations verify, a WAL bound to the wrong snapshot, or a
+// digest-valid but structurally invalid record return errors wrapping
+// core.ErrCorruptState; foreign format versions return
+// ErrUnsupportedVersion. Like Create,
 // Open holds dir under an exclusive lock file until Close; a dir held by
 // a live process returns ErrLocked, while a stale lock left by a crashed
 // holder is broken and recovery proceeds.
@@ -357,19 +360,8 @@ func Open(dir string, o Options) (*Durable, error) {
 			return nil, corruptf("wal %s bound to generation %d snapshot %016x, state is generation %d snapshot %016x",
 				walName(d.gen), gen, bound, d.gen, d.snapDigest)
 		}
-		for i, payload := range records {
-			if err := d.fire("replay:op", nil); err != nil {
-				return nil, err
-			}
-			op, derr := decodeWalPayload(payload, d.dim)
-			if derr != nil {
-				return nil, derr
-			}
-			//spannerlint:ignore fsyncrename replay applies records already durable in the WAL; log-before-apply was satisfied by the original append
-			if err := d.applyOp(op); err != nil {
-				return nil, corruptf("wal record %d replay failed: %v", i, err)
-			}
-			d.opSeq++
+		if err := d.replayWal(records); err != nil {
+			return nil, err
 		}
 		if validLen < int64(len(walData)) {
 			if err := d.fire("replay:truncate", nil); err != nil {
@@ -399,6 +391,45 @@ func Open(dir string, o Options) (*Durable, error) {
 	}
 	ok = true
 	return d, nil
+}
+
+// replayWal applies the logged records to the imported engine. Every
+// record's bookkeeping is applied in order under a coalescing policy, so
+// nothing is flushed mid-log: a logged flush is deferred, and a logged
+// policy change only updates the policy installed after the last record.
+// That final SetPolicy runs the one flush the final policy asks for (an
+// eager policy, or a met MinBatch trigger); a coalescing policy leaves it
+// to the first query. Flush timing is output-invariant, so the recovered
+// result is the one the live run reached.
+func (d *Durable) replayWal(records [][]byte) error {
+	policy := d.inc.Policy()
+	if err := d.inc.SetPolicy(core.IncrementalPolicy{CoalesceUntilQuery: true}); err != nil {
+		return err
+	}
+	for i, payload := range records {
+		if err := d.fire("replay:op", nil); err != nil {
+			return err
+		}
+		op, derr := decodeWalPayload(payload, d.dim)
+		if derr != nil {
+			return derr
+		}
+		switch op.kind {
+		case walFlush:
+		case walPolicy:
+			policy = op.policy
+		default:
+			//spannerlint:ignore fsyncrename replay applies records already durable in the WAL; log-before-apply was satisfied by the original append
+			if err := d.applyOp(op); err != nil {
+				return corruptf("wal record %d replay failed: %v", i, err)
+			}
+		}
+		d.opSeq++
+	}
+	if err := d.inc.SetPolicy(policy); err != nil {
+		return fmt.Errorf("persist: flush after wal replay: %w", err)
+	}
+	return nil
 }
 
 // gcGen removes a superseded generation's files (best-effort removals,
@@ -562,7 +593,7 @@ func (d *Durable) mirrorMatrix() (metric.Metric, error) {
 }
 
 // compactMirror removes the marked dense positions from whichever mirror
-// is live, preserving the survivors' order (matching dynMetric's kill).
+// is live, preserving the survivors' order (matching the engine's Delete).
 func (d *Durable) compactMirror(gone map[int]bool) {
 	if d.metricKind == core.MetricEuclidean {
 		kept := d.pts[:0]

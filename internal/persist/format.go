@@ -4,15 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 )
 
-// Snapshot format, version 1. All integers are little-endian.
+// Snapshot format, version 2. All integers are little-endian.
 //
 //	[0:8)    magic "GSPSNAP1"
-//	[8:12)   u32 format version (1)
+//	[8:12)   u32 format version (2)
 //	[12:16)  u32 section count C
 //	16 + 32i  per-section table entry i: u32 id, u32 reserved,
 //	          u64 offset, u64 length, u64 FNV-1a digest of the payload
@@ -25,22 +26,41 @@ import (
 // rejected with ErrUnsupportedVersion before the table is trusted;
 // everything else that fails to parse wraps core.ErrCorruptState and
 // names the offending section.
+//
+// Sections: meta (mode, metric kind, policy, t, WAL op sequence, point
+// count, dimension, vertex count, examined count, weight) and edges (the
+// accepted sequence, dense ids) always; then points or matrix (the live
+// points in dense order) for a metric state, or graph plus an optional
+// hubs section (hub ids and distance arrays) for a graph state.
+//
+// Version 1 is still read. Its metric states kept a stable-id space (the
+// idspace section lists the live stable ids; the gaps were deleted
+// points), the candidate weight histogram, the cached bound rows and hub
+// arrays, and its meta section carried the stable-id capacity, the hub
+// epoch and a hub reselection count. A version-1 file is digest-checked
+// like any other; its histogram, bounds and metric hub sections are then
+// discarded, and its accepted edges are mapped from stable to dense ids
+// through idspace. Snapshots are always written as version 2.
 
-const snapVersion = 1
+const (
+	snapVersion   = 2
+	snapVersionV1 = 1
+)
 
 var snapMagic = [8]byte{'G', 'S', 'P', 'S', 'N', 'A', 'P', '1'}
 
 // Section ids. The meta section is mandatory; the rest are present per
-// mode (see encode). Unknown ids in a version-1 file are a corruption.
+// mode (see encode). Unknown ids, and the version-1-only sections in a
+// version-2 file, are a corruption.
 const (
 	secMeta    = 1
 	secPoints  = 2
 	secMatrix  = 3
 	secGraph   = 4
-	secIDSpace = 5
+	secIDSpace = 5 // version 1 only
 	secEdges   = 6
-	secHist    = 7
-	secBounds  = 8
+	secHist    = 7 // version 1 only
+	secBounds  = 8 // version 1 only
 	secHubs    = 9
 )
 
@@ -102,7 +122,6 @@ func (w *buf) u64(v uint64) {
 	w.b = append(w.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
-func (w *buf) u16(v uint16)  { w.b = append(w.b, byte(v), byte(v>>8)) }
 func (w *buf) f64(v float64) { w.u64(math.Float64bits(v)) }
 
 // rdr is the bounds-checked little-endian decoder over one section
@@ -137,22 +156,6 @@ func (r *rdr) u8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-func (r *rdr) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
-func (r *rdr) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 func (r *rdr) u64() uint64 {
@@ -199,26 +202,8 @@ func (r *rdr) done() error {
 	return nil
 }
 
-// snapMeta is the decoded meta section: everything scalar about the
-// state, plus the WAL op sequence number the snapshot was taken at.
-type snapMeta struct {
-	graphMode  bool
-	metricKind core.MetricKind
-	policy     core.IncrementalPolicy
-	t          float64
-	opSeq      uint64
-	capN       int
-	liveN      int
-	dim        int
-	graphN     int
-	examined   int
-	weight     float64
-	hubEpoch   int
-	hubsResel  int
-}
-
 // EncodeSnapshot serializes an exported state (with the WAL position
-// opSeq it corresponds to) into the version-1 snapshot format. Encoding
+// opSeq it corresponds to) into the version-2 snapshot format. Encoding
 // is deterministic: the same state always produces the same bytes, which
 // is what lets golden files guard format drift byte-for-byte.
 func EncodeSnapshot(st *core.SpannerState, opSeq uint64) []byte {
@@ -228,115 +213,59 @@ func EncodeSnapshot(st *core.SpannerState, opSeq uint64) []byte {
 	}
 	var secs []section
 	add := func(id uint32, w *buf) { secs = append(secs, section{id, w.b}) }
+	flag := func(w *buf, b bool) {
+		if b {
+			w.u8(1)
+		} else {
+			w.u8(0)
+		}
+	}
 
 	meta := &buf{}
-	if st.GraphMode {
-		meta.u8(1)
-	} else {
-		meta.u8(0)
-	}
+	flag(meta, st.GraphMode)
 	meta.u8(uint8(st.MetricKind))
-	if st.Policy.CoalesceUntilQuery {
-		meta.u8(1)
-	} else {
-		meta.u8(0)
-	}
+	flag(meta, st.Policy.CoalesceUntilQuery)
 	meta.u64(uint64(st.Policy.MinBatch))
 	meta.f64(st.T)
 	meta.u64(opSeq)
-	meta.u64(uint64(st.Cap))
-	meta.u64(uint64(len(st.Live)))
+	meta.u64(uint64(st.N))
 	meta.u64(uint64(st.Dim))
 	meta.u64(uint64(st.GraphN))
 	meta.u64(uint64(st.EdgesExamined))
 	meta.f64(st.Weight)
-	meta.u64(uint64(st.HubEpoch))
-	meta.u64(uint64(st.HubsReselected))
 	add(secMeta, meta)
 
 	edges := &buf{}
-	edges.u64(uint64(len(st.Edges)))
-	for _, e := range st.Edges {
-		edges.u64(uint64(e.U))
-		edges.u64(uint64(e.V))
-		edges.f64(e.W)
-	}
+	encodeEdgeList(edges, st.Edges)
 	add(secEdges, edges)
 
 	if st.GraphMode {
 		gw := &buf{}
-		gw.u64(uint64(len(st.GraphEdges)))
-		for _, e := range st.GraphEdges {
-			gw.u64(uint64(e.U))
-			gw.u64(uint64(e.V))
-			gw.f64(e.W)
-		}
+		encodeEdgeList(gw, st.GraphEdges)
 		add(secGraph, gw)
+		if len(st.Hubs) > 0 {
+			hw := &buf{}
+			hw.u64(uint64(len(st.Hubs)))
+			for _, h := range st.Hubs {
+				hw.u64(uint64(h))
+			}
+			for _, row := range st.HubRows {
+				for _, x := range row {
+					hw.f64(x)
+				}
+			}
+			add(secHubs, hw)
+		}
 	} else {
-		ids := &buf{}
-		for _, sid := range st.Live {
-			ids.u64(uint64(sid))
+		id, vals := uint32(secPoints), st.Coords
+		if st.MetricKind != core.MetricEuclidean {
+			id, vals = secMatrix, st.Matrix
 		}
-		add(secIDSpace, ids)
-		switch st.MetricKind {
-		case core.MetricEuclidean:
-			pw := &buf{}
-			for _, c := range st.Coords {
-				pw.f64(c)
-			}
-			add(secPoints, pw)
-		default:
-			mw := &buf{}
-			for _, c := range st.Matrix {
-				mw.f64(c)
-			}
-			add(secMatrix, mw)
+		pw := &buf{}
+		for _, c := range vals {
+			pw.f64(c)
 		}
-		hw := &buf{}
-		hw.u64(uint64(len(st.HistExp)))
-		for i, e := range st.HistExp {
-			hw.u32(uint32(e))
-			hw.u64(uint64(st.HistCount[i]))
-		}
-		hw.u64(uint64(st.HistZeros))
-		hw.u64(uint64(st.HistInfs))
-		add(secHist, hw)
-
-		bw := &buf{}
-		for _, ep := range st.BoundEpochs {
-			bw.u64(uint64(ep))
-		}
-		materialized := 0
-		for _, row := range st.BoundRows {
-			if row != nil {
-				materialized++
-			}
-		}
-		bw.u64(uint64(materialized))
-		for u, row := range st.BoundRows {
-			if row == nil {
-				continue
-			}
-			bw.u64(uint64(u))
-			for _, h := range row {
-				bw.u16(h)
-			}
-		}
-		add(secBounds, bw)
-	}
-
-	if len(st.Hubs) > 0 {
-		hw := &buf{}
-		hw.u64(uint64(len(st.Hubs)))
-		for _, h := range st.Hubs {
-			hw.u64(uint64(h))
-		}
-		for _, row := range st.HubRows {
-			for _, x := range row {
-				hw.f64(x)
-			}
-		}
-		add(secHubs, hw)
+		add(id, pw)
 	}
 
 	// Assemble: header, table, header digest, payloads.
@@ -361,6 +290,16 @@ func EncodeSnapshot(st *core.SpannerState, opSeq uint64) []byte {
 	return out.b
 }
 
+// encodeEdgeList writes a u64-counted edge list (u, v, weight bits).
+func encodeEdgeList(w *buf, edges []graph.Edge) {
+	w.u64(uint64(len(edges)))
+	for _, e := range edges {
+		w.u64(uint64(e.U))
+		w.u64(uint64(e.V))
+		w.f64(e.W)
+	}
+}
+
 // totalLen sums a per-section length without generics noise.
 func totalLen[T any](xs []T, f func(T) int) int {
 	n := 0
@@ -370,13 +309,14 @@ func totalLen[T any](xs []T, f func(T) int) int {
 	return n
 }
 
-// DecodeSnapshot parses and digest-verifies a version-1 snapshot,
-// returning the state and the WAL op sequence it was taken at. Arbitrary
-// input bytes produce a typed error — ErrUnsupportedVersion for a foreign
-// version, otherwise an error wrapping core.ErrCorruptState naming the
-// offending section — never a panic or an allocation out of proportion to
-// the input. The returned state is structurally plausible but not deeply
-// validated; core.ImportIncremental owns semantic validation.
+// DecodeSnapshot parses and digest-verifies a version-2 (or version-1)
+// snapshot, returning the state and the WAL op sequence it was taken at.
+// Arbitrary input bytes produce a typed error — ErrUnsupportedVersion for
+// a foreign version, otherwise an error wrapping core.ErrCorruptState
+// naming the offending section — never a panic or an allocation out of
+// proportion to the input. The returned state is structurally plausible
+// but not deeply validated; core.ImportIncremental owns semantic
+// validation.
 func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 	if len(data) < 16 {
 		return nil, 0, corruptf("snapshot header truncated (%d bytes)", len(data))
@@ -387,9 +327,11 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 		return nil, 0, corruptf("bad snapshot magic %q", string(magic[:]))
 	}
 	version := leU32(data[8:])
-	if version != snapVersion {
-		return nil, 0, fmt.Errorf("persist: snapshot format version %d (this build reads %d): %w", version, snapVersion, ErrUnsupportedVersion)
+	if version != snapVersion && version != snapVersionV1 {
+		return nil, 0, fmt.Errorf("persist: snapshot format version %d (this build reads %d and %d): %w",
+			version, snapVersionV1, snapVersion, ErrUnsupportedVersion)
 	}
+	v1 := version == snapVersionV1
 	nsec := leU32(data[12:])
 	if nsec > uint32(len(data)/32) {
 		return nil, 0, corruptf("section table of %d entries exceeds file size", nsec)
@@ -406,8 +348,8 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 		ent := data[16+32*i:]
 		id := leU32(ent)
 		name := sectionNames[id]
-		if name == "" {
-			return nil, 0, corruptf("unknown section id %d", id)
+		if name == "" || (!v1 && (id == secIDSpace || id == secHist || id == secBounds)) {
+			return nil, 0, corruptf("unknown section id %d in a version-%d snapshot", id, version)
 		}
 		if _, dup := sections[id]; dup {
 			return nil, 0, corruptf("section %s listed twice", name)
@@ -434,21 +376,23 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var meta snapMeta
-	meta.graphMode = mr.u8() != 0
-	meta.metricKind = core.MetricKind(mr.u8())
-	meta.policy.CoalesceUntilQuery = mr.u8() != 0
+	st := &core.SpannerState{}
+	st.GraphMode = mr.u8() != 0
+	st.MetricKind = core.MetricKind(mr.u8())
+	st.Policy.CoalesceUntilQuery = mr.u8() != 0
 	minBatch := mr.u64()
-	meta.t = mr.f64()
-	meta.opSeq = mr.u64()
-	capN := mr.u64()
-	liveN := mr.u64()
-	dim := mr.u64()
-	graphN := mr.u64()
-	examined := mr.u64()
-	meta.weight = mr.f64()
-	hubEpoch := mr.u64()
-	hubsResel := mr.u64()
+	st.T = mr.f64()
+	opSeq := mr.u64()
+	var capN, hubEpoch uint64
+	if v1 {
+		capN = mr.u64()
+	}
+	liveN, dim, graphN, examined := mr.u64(), mr.u64(), mr.u64(), mr.u64()
+	st.Weight = mr.f64()
+	if v1 {
+		hubEpoch = mr.u64()
+		mr.u64() // hub reselection count, no longer kept
+	}
 	if err := mr.done(); err != nil {
 		return nil, 0, err
 	}
@@ -456,7 +400,7 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 		name string
 		v    uint64
 	}{{"capacity", capN}, {"live count", liveN}, {"dimension", dim}, {"vertex count", graphN},
-		{"min batch", minBatch}, {"hub epoch", hubEpoch}, {"hub reselections", hubsResel}} {
+		{"min batch", minBatch}, {"hub epoch", hubEpoch}} {
 		if c.v > maxDecodeElems {
 			return nil, 0, corruptf("section meta: %s %d exceeds limit %d", c.name, c.v, maxDecodeElems)
 		}
@@ -464,24 +408,9 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 	if examined > math.MaxInt64/2 {
 		return nil, 0, corruptf("section meta: examined count overflows")
 	}
-	meta.capN, meta.liveN, meta.dim, meta.graphN = int(capN), int(liveN), int(dim), int(graphN)
-	meta.examined = int(examined)
-	meta.hubEpoch, meta.hubsResel = int(hubEpoch), int(hubsResel)
-	meta.policy.MinBatch = int(minBatch)
-
-	st := &core.SpannerState{
-		T:              meta.t,
-		GraphMode:      meta.graphMode,
-		Policy:         meta.policy,
-		MetricKind:     meta.metricKind,
-		Cap:            meta.capN,
-		Dim:            meta.dim,
-		GraphN:         meta.graphN,
-		Weight:         meta.weight,
-		EdgesExamined:  meta.examined,
-		HubEpoch:       meta.hubEpoch,
-		HubsReselected: meta.hubsResel,
-	}
+	st.N, st.Dim, st.GraphN = int(liveN), int(dim), int(graphN)
+	st.EdgesExamined = int(examined)
+	st.Policy.MinBatch = int(minBatch)
 
 	er, err := need(secEdges)
 	if err != nil {
@@ -491,181 +420,134 @@ func DecodeSnapshot(data []byte) (*core.SpannerState, uint64, error) {
 		return nil, 0, err
 	}
 
-	if meta.graphMode {
-		gr, err := need(secGraph)
-		if err != nil {
+	if !st.GraphMode {
+		if _, ok := sections[secHubs]; ok && !v1 {
+			return nil, 0, corruptf("section hubs in a metric-mode snapshot")
+		}
+		if err := decodeMetricSections(st, need); err != nil {
 			return nil, 0, err
 		}
-		if st.GraphEdges, err = decodeEdgeList(gr); err != nil {
-			return nil, 0, err
+		if v1 {
+			if err := denseEdgesV1(st, int(capN), need); err != nil {
+				return nil, 0, err
+			}
 		}
-	} else {
-		if err := decodeMetricSections(st, meta, sections, need); err != nil {
-			return nil, 0, err
-		}
+		return st, opSeq, nil
 	}
-
+	gr, err := need(secGraph)
+	if err != nil {
+		return nil, 0, err
+	}
+	if st.GraphEdges, err = decodeEdgeList(gr); err != nil {
+		return nil, 0, err
+	}
 	if hp, ok := sections[secHubs]; ok {
-		hr := &rdr{b: hp, sec: "hubs"}
-		rowLen := meta.capN
-		if meta.graphMode {
-			rowLen = meta.graphN
-		}
-		k, err := hr.count("hub", 8)
-		if err != nil {
+		if err := decodeHubs(st, &rdr{b: hp, sec: "hubs"}); err != nil {
 			return nil, 0, err
 		}
-		st.Hubs = make([]int, k)
-		for i := range st.Hubs {
-			v := hr.u64()
-			if v > maxDecodeElems {
-				return nil, 0, corruptf("section hubs: hub id %d out of range", v)
-			}
-			st.Hubs[i] = int(v)
-		}
-		if k > 0 && (rowLen > (len(hp)-hr.pos)/8/k) {
-			return nil, 0, corruptf("section hubs: %d rows of %d entries exceed payload", k, rowLen)
-		}
-		st.HubRows = make([][]float64, k)
-		for i := range st.HubRows {
-			row := make([]float64, rowLen)
-			for v := range row {
-				row[v] = hr.f64()
-			}
-			st.HubRows[i] = row
-		}
-		if err := hr.done(); err != nil {
-			return nil, 0, err
+		if v1 && hubEpoch != uint64(len(st.Edges)) {
+			return nil, 0, corruptf("section meta: hub epoch %d, want the accepted count %d", hubEpoch, len(st.Edges))
 		}
 	}
-	return st, meta.opSeq, nil
+	return st, opSeq, nil
 }
 
-// decodeMetricSections fills the metric-mode sections: idspace, the point
-// payload (coordinates or matrix), the histogram, and the bound store.
-func decodeMetricSections(st *core.SpannerState, meta snapMeta, sections map[uint32][]byte, need func(uint32) (*rdr, error)) error {
-	ir, err := need(secIDSpace)
+// decodeHubs fills the graph-mode hub set and its GraphN-long distance
+// arrays.
+func decodeHubs(st *core.SpannerState, hr *rdr) error {
+	k, err := hr.count("hub", 8)
 	if err != nil {
 		return err
 	}
-	if len(ir.b) != 8*meta.liveN {
-		return corruptf("section idspace has %d bytes, want %d live ids", len(ir.b), meta.liveN)
-	}
-	st.Live = make([]int, meta.liveN)
-	for i := range st.Live {
-		v := ir.u64()
+	st.Hubs = make([]int, k)
+	for i := range st.Hubs {
+		v := hr.u64()
 		if v > maxDecodeElems {
-			return corruptf("section idspace: live id %d out of range", v)
+			return corruptf("section hubs: hub id %d out of range", v)
 		}
-		st.Live[i] = int(v)
+		st.Hubs[i] = int(v)
 	}
-	if err := ir.done(); err != nil {
-		return err
+	if k > 0 && st.GraphN > (len(hr.b)-hr.pos)/8/k {
+		return corruptf("section hubs: %d rows of %d entries exceed payload", k, st.GraphN)
 	}
+	st.HubRows = make([][]float64, k)
+	for i := range st.HubRows {
+		row := make([]float64, st.GraphN)
+		for v := range row {
+			row[v] = hr.f64()
+		}
+		st.HubRows[i] = row
+	}
+	return hr.done()
+}
 
-	switch meta.metricKind {
-	case core.MetricEuclidean:
+// decodeMetricSections fills the live points' payload: coordinates for a
+// Euclidean state, the distance matrix otherwise.
+func decodeMetricSections(st *core.SpannerState, need func(uint32) (*rdr, error)) error {
+	if st.MetricKind == core.MetricEuclidean {
 		pr, err := need(secPoints)
 		if err != nil {
 			return err
 		}
-		if meta.dim == 0 || meta.liveN > len(pr.b)/8/max(meta.dim, 1) {
-			return corruptf("section points: %d points x dim %d exceed payload", meta.liveN, meta.dim)
+		if st.Dim == 0 || st.N > len(pr.b)/8/max(st.Dim, 1) {
+			return corruptf("section points: %d points x dim %d exceed payload", st.N, st.Dim)
 		}
-		st.Coords = make([]float64, meta.liveN*meta.dim)
+		st.Coords = make([]float64, st.N*st.Dim)
 		for i := range st.Coords {
 			st.Coords[i] = pr.f64()
 		}
-		if err := pr.done(); err != nil {
-			return err
-		}
-	default:
-		// Any other kind reaches core.ImportIncremental, which rejects
-		// unknown kinds; the matrix payload decodes for MetricMatrix.
-		mr, err := need(secMatrix)
-		if err != nil {
-			return err
-		}
-		if meta.liveN > 0 && meta.liveN > len(mr.b)/8/meta.liveN {
-			return corruptf("section matrix: %d x %d entries exceed payload", meta.liveN, meta.liveN)
-		}
-		st.Matrix = make([]float64, meta.liveN*meta.liveN)
-		for i := range st.Matrix {
-			st.Matrix[i] = mr.f64()
-		}
-		if err := mr.done(); err != nil {
-			return err
-		}
+		return pr.done()
 	}
+	// Any other kind reaches core.ImportIncremental, which rejects
+	// unknown kinds; the matrix payload decodes for MetricMatrix.
+	mr, err := need(secMatrix)
+	if err != nil {
+		return err
+	}
+	if st.N > 0 && st.N > len(mr.b)/8/st.N {
+		return corruptf("section matrix: %d x %d entries exceed payload", st.N, st.N)
+	}
+	st.Matrix = make([]float64, st.N*st.N)
+	for i := range st.Matrix {
+		st.Matrix[i] = mr.f64()
+	}
+	return mr.done()
+}
 
-	hr, err := need(secHist)
+// denseEdgesV1 maps a version-1 metric state's accepted edges from stable
+// ids to dense ids: the idspace section lists the live stable ids in
+// increasing order, and the i-th of them is dense id i. The map is
+// monotone, so the edges keep their scan order.
+func denseEdgesV1(st *core.SpannerState, capN int, need func(uint32) (*rdr, error)) error {
+	ir, err := need(secIDSpace)
 	if err != nil {
 		return err
 	}
-	nb, err := hr.count("bucket", 12)
-	if err != nil {
-		return err
+	if len(ir.b) != 8*st.N {
+		return corruptf("section idspace has %d bytes, want %d live ids", len(ir.b), st.N)
 	}
-	st.HistExp = make([]int32, nb)
-	st.HistCount = make([]int64, nb)
-	for i := range st.HistExp {
-		st.HistExp[i] = int32(hr.u32())
-		c := hr.u64()
-		if c > math.MaxInt64/2 {
-			return corruptf("section histogram: bucket %d count overflows", i)
+	live := make([]int, st.N)
+	for i := range live {
+		sid := ir.u64()
+		if sid >= uint64(capN) || (i > 0 && int(sid) <= live[i-1]) {
+			return corruptf("section idspace: live id %d out of range or order", sid)
 		}
-		st.HistCount[i] = int64(c)
+		live[i] = int(sid)
 	}
-	zeros, infs := hr.u64(), hr.u64()
-	if zeros > math.MaxInt64/2 || infs > math.MaxInt64/2 {
-		return corruptf("section histogram: tally overflows")
-	}
-	st.HistZeros, st.HistInfs = int64(zeros), int64(infs)
-	if err := hr.done(); err != nil {
-		return err
-	}
-
-	br, err := need(secBounds)
-	if err != nil {
-		return err
-	}
-	if meta.capN > len(br.b)/8 {
-		return corruptf("section bounds: %d epochs exceed payload", meta.capN)
-	}
-	st.BoundEpochs = make([]int, meta.capN)
-	for u := range st.BoundEpochs {
-		v := br.u64()
-		if v > maxDecodeElems {
-			return corruptf("section bounds: epoch %d out of range", v)
+	dense := func(sid int) int {
+		if i := sort.SearchInts(live, sid); i < len(live) && live[i] == sid {
+			return i
 		}
-		st.BoundEpochs[u] = int(v)
+		return -1
 	}
-	st.BoundRows = make([][]uint16, meta.capN)
-	materialized, err := br.count("row", 8)
-	if err != nil {
-		return err
+	for i, e := range st.Edges {
+		u, v := dense(e.U), dense(e.V)
+		if u < 0 || v < 0 {
+			return corruptf("section edges: edge %d (%d, %d) touches no live id", i, e.U, e.V)
+		}
+		st.Edges[i].U, st.Edges[i].V = u, v
 	}
-	for i := 0; i < materialized; i++ {
-		u := br.u64()
-		if u >= uint64(meta.capN) {
-			return corruptf("section bounds: row vertex %d outside capacity %d", u, meta.capN)
-		}
-		if br.fail == nil && meta.capN > (len(br.b)-br.pos)/2 {
-			return corruptf("section bounds: row of %d entries exceeds payload", meta.capN)
-		}
-		row := make([]uint16, meta.capN)
-		for v := range row {
-			row[v] = br.u16()
-		}
-		if br.fail != nil {
-			return br.fail
-		}
-		if st.BoundRows[u] != nil {
-			return corruptf("section bounds: row %d listed twice", u)
-		}
-		st.BoundRows[u] = row
-	}
-	return br.done()
+	return nil
 }
 
 // decodeEdgeList reads a u64-counted edge list (u, v, weight bits).

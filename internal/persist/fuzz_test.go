@@ -14,9 +14,13 @@ import (
 // either a typed error (ErrUnsupportedVersion or ErrCorruptState) or a
 // state that survives a full import attempt — never a panic and never an
 // allocation out of proportion to the input. The seed corpus is the
-// golden snapshots plus the interesting small prefixes.
+// golden snapshots of both format versions plus the interesting small
+// prefixes.
 func FuzzSnapshotDecode(f *testing.F) {
-	for _, name := range []string{"snap_metric_v1.bin", "snap_matrix_v1.bin", "snap_graph_v1.bin"} {
+	for _, name := range []string{
+		"snap_metric_v2.bin", "snap_matrix_v2.bin", "snap_graph_v2.bin",
+		"snap_metric_v1.bin", "snap_matrix_v1.bin", "snap_graph_v1.bin",
+	} {
 		if data, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
 			f.Add(data)
 			f.Add(data[:16])

@@ -170,16 +170,26 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotVersionSkew: a foreign format version is refused with
-// ErrUnsupportedVersion before any of the file is trusted.
+// ErrUnsupportedVersion before any of the file is trusted, while the
+// current version and the load-only version 1 both decode.
 func TestSnapshotVersionSkew(t *testing.T) {
 	data := EncodeSnapshot(buildMetricState(t, true, core.MetricParallelOptions{Workers: 1}), 0)
-	bad := append([]byte(nil), data...)
-	bad[8] = 99
-	if _, _, err := DecodeSnapshot(bad); !errors.Is(err, ErrUnsupportedVersion) {
-		t.Fatalf("version 99: got %v, want ErrUnsupportedVersion", err)
+	for _, v := range []byte{0, 3, 99} {
+		bad := append([]byte(nil), data...)
+		bad[8] = v
+		if _, _, err := DecodeSnapshot(bad); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("version %d: got %v, want ErrUnsupportedVersion", v, err)
+		}
 	}
 	if _, _, err := DecodeSnapshot(data); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "snap_metric_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeSnapshot(v1); err != nil {
+		t.Fatalf("version-1 snapshot rejected: %v", err)
 	}
 }
 
@@ -213,21 +223,21 @@ func TestSnapshotCorruption(t *testing.T) {
 }
 
 // TestSnapshotGolden guards the on-disk format against silent drift: the
-// checked-in golden files must decode, import, and re-encode to their
-// exact bytes. GOLDEN_REWRITE=1 refreshes them after a deliberate format
-// change (which must also bump the version).
+// checked-in version-2 golden files must decode, import, and re-encode to
+// their exact bytes. GOLDEN_REWRITE=1 refreshes them after a deliberate
+// format change (which must also bump the version).
 func TestSnapshotGolden(t *testing.T) {
 	cases := []struct {
 		file string
 		st   func() *core.SpannerState
 	}{
-		{"snap_metric_v1.bin", func() *core.SpannerState {
+		{"snap_metric_v2.bin", func() *core.SpannerState {
 			return buildMetricState(t, true, core.MetricParallelOptions{Workers: 1, Hubs: 3})
 		}},
-		{"snap_matrix_v1.bin", func() *core.SpannerState {
+		{"snap_matrix_v2.bin", func() *core.SpannerState {
 			return buildMetricState(t, false, core.MetricParallelOptions{Workers: 1})
 		}},
-		{"snap_graph_v1.bin", func() *core.SpannerState {
+		{"snap_graph_v2.bin", func() *core.SpannerState {
 			return buildGraphState(t, core.ParallelOptions{Workers: 1, Hubs: 3})
 		}},
 	}
@@ -259,6 +269,36 @@ func TestSnapshotGolden(t *testing.T) {
 		}
 		if _, err := core.ImportIncremental(st, core.MetricParallelOptions{Workers: 1, Hubs: len(st.Hubs)}, core.ParallelOptions{Workers: 1, Hubs: len(st.Hubs)}); err != nil {
 			t.Errorf("%s: import: %v", tc.file, err)
+		}
+	}
+}
+
+// TestSnapshotV1Fixtures: snapshots written in format version 1 — with
+// stable ids, a weight histogram, bound rows and metric hub arrays — stay
+// loadable. Each checked-in version-1 file must decode and import, and
+// reproduce the result digest the version-1 reader recovered from it.
+func TestSnapshotV1Fixtures(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		digest uint64
+	}{
+		{"snap_metric_v1.bin", 0x91fdc7f0c8b693ec},
+		{"snap_matrix_v1.bin", 0xa71bb3f8d0b15a0a},
+		{"snap_graph_v1.bin", 0x52a12a1c1ec1593c},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, opSeq, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.file, err)
+		}
+		if opSeq != 11 {
+			t.Errorf("%s: opSeq %d, want 11", tc.file, opSeq)
+		}
+		if got := stateDigest(t, st, core.MetricParallelOptions{Workers: 1}, core.ParallelOptions{Workers: 1}); got != tc.digest {
+			t.Errorf("%s: digest %016x, want %016x", tc.file, got, tc.digest)
 		}
 	}
 }

@@ -152,8 +152,8 @@ func (s *Server) rejectMutation(w http.ResponseWriter, err error) {
 
 // transientErr reports whether a convergence retry can clear err:
 // cancellation vanishes with a fresh context, an injected panic fires
-// once, and a guarded-row corruption is dropped and rebuilt by the
-// retried rebase.
+// once, and a guarded-row corruption dies with the aborted flush's bound
+// rows — the retried flush proves fresh ones.
 func transientErr(err error) bool {
 	return errors.Is(err, core.ErrCancelled) ||
 		errors.Is(err, core.ErrEnginePanic) ||

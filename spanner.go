@@ -29,14 +29,13 @@
 //   - NewIncremental / NewIncrementalGraph — the fully dynamic
 //     maintained greedy spanner: point insertions and deletions
 //     (metrics) and edge insertions and deletions (graphs) after the
-//     initial build, each batch replayed from the first scan position it
-//     disturbs — deletions rebase cached state backward onto
-//     checkpointed snapshots — with the result bit-identical to a
-//     from-scratch greedy build on the surviving input.
+//     initial build — a metric flush is one rebuild on the survivors, a
+//     graph batch is replayed from the first scan position it disturbs —
+//     with the result bit-identical to a from-scratch greedy build on the
+//     surviving input.
 //   - Save / Load / OpenDurable — the durability layer for the
 //     maintained spanner: versioned, digest-guarded binary snapshots of
-//     the full dynamic state plus a write-ahead log of dynamic
-//     operations, so a process can stop (or crash) at any instant and
+//     the maintained state plus a write-ahead log of dynamic operations, so a process can stop (or crash) at any instant and
 //     resume with a state bit-identical to the uninterrupted run.
 //   - ApproxGreedy — the O(n log n)-style approximate-greedy algorithm for
 //     doubling metrics (Section 5, Theorem 6), with constant lightness and
@@ -284,26 +283,20 @@ func NewGraphCandidateSource(g *Graph, bucketPairs int) CandidateSource {
 // (metric mode, Insert and Delete) or edge insertions and deletions
 // (graph mode, InsertEdges and DeleteEdges), and after every batch its
 // Result is bit-identical to a from-scratch greedy build on the
-// surviving input. An insertion resumes the greedy scan at the first
-// position a new candidate pair occupies: the accepted prefix below it
-// is preserved verbatim, whole candidate buckets below it are skipped by
-// count alone, and cached bound rows untouched since that prefix keep
-// certifying skips — sound because bounds proven on a preserved prefix
-// only overestimate the replay's spanner distances. A deletion cuts at
-// the earliest accepted edge touching a removed element — every decision
-// before it depended only on surviving accepted edges — and rebases the
-// cached bound rows and hub arrays backward onto digest-verified
-// periodic checkpoints instead of recomputing them, so the tail replay
-// starts from restored state. Deleted points become internal tombstones
-// (never renumbered, which would reorder weight ties); Result densely
-// renumbers the survivors in a tie-preserving order.
+// surviving input. A metric-mode flush is exactly that build, on the
+// surviving points in dense order (Result renumbers survivors densely in
+// their maintained order). A graph-mode batch cuts the greedy scan at the
+// first position it disturbs — the first position an inserted edge
+// occupies, or the earliest accepted edge a deleted one matches — keeps
+// the accepted prefix below it verbatim, and replays only the tail, with
+// the hub arrays rebased onto the prefix from digest-verified checkpoints.
 type Incremental = core.IncrementalSpanner
 
 // NewIncremental builds the greedy t-spanner of m and returns it as a
 // maintained spanner ready for point insertions: call Insert with a
 // metric that extends m (same leading points and distances, new points
 // appended) and Result for the current spanner. workers selects the
-// replay engine's concurrency (0 = GOMAXPROCS).
+// engine's concurrency (0 = GOMAXPROCS).
 func NewIncremental(m Metric, t float64, workers int) (*Incremental, error) {
 	return core.NewIncrementalMetric(m, t, core.MetricParallelOptions{Workers: workers})
 }
@@ -329,11 +322,10 @@ func NewIncrementalGraphOpts(g *Graph, t float64, opts ParallelOptions) (*Increm
 }
 
 // Save writes the complete state of a maintained spanner to path as a
-// versioned binary snapshot: the accepted edge list, the tombstone id
-// space, the pair-count histogram, the cached bound rows with their
-// proof epochs, the hub arrays, and the batching policy — everything a
-// Load needs to resume dynamic operation without re-running the greedy
-// scan. The write is atomic (temp file + fsync + rename + directory
+// versioned binary snapshot: the surviving input, the accepted edge list
+// with its weight and examined count, the batching policy, and in graph
+// mode the hub arrays — everything a Load needs to resume dynamic
+// operation without re-running the greedy scan. The write is atomic (temp file + fsync + rename + directory
 // fsync) and every section carries its own digest, so a torn or
 // corrupted file fails Load with ErrCorruptState instead of producing a
 // wrong spanner. The spanner's pending batch is flushed first.
