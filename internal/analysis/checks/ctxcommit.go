@@ -39,6 +39,7 @@ var Ctxcommit = &framework.Analyzer{
 var valueQueryMethods = map[string]bool{
 	"DistanceWithin":         true,
 	"BidirDistanceWithin":    true,
+	"BidirDecideWithin":      true,
 	"PathWithin":             true,
 	"DistanceWithinAvoiding": true,
 	"DistanceWithinMasked":   true,
@@ -50,6 +51,7 @@ var valueQueryMethods = map[string]bool{
 var allQueryMethods = map[string]bool{
 	"DistanceWithin":         true,
 	"BidirDistanceWithin":    true,
+	"BidirDecideWithin":      true,
 	"PathWithin":             true,
 	"DistanceWithinAvoiding": true,
 	"DistanceWithinMasked":   true,

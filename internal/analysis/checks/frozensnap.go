@@ -49,7 +49,7 @@ var frozenTypes = map[string]bool{
 var frozenReadOnly = map[string]bool{
 	"N": true, "M": true, "Edges": true, "EdgesCopy": true,
 	"Neighbors": true, "EdgeWeight": true, "SortedEdges": true,
-	"Certify": true, "CertifyAvoiding": true, "Hubs": true,
+	"Certify": true, "CertifyAvoiding": true, "separates": true, "Hubs": true,
 	"Relaxed": true, "countRows": true, "get": true, "Size": true, "Graph": true,
 	"MaxDegree": true, "Lightness": true, "Weight": true,
 	"Stretch": true, "verifyPair": true, "PeakBucket": true,

@@ -14,10 +14,11 @@ import (
 // outlive a disconnected client unless the request context reaches the
 // engine's cooperative-cancellation machinery. Concretely:
 //
-//   - A searcher query (DistanceWithin, BidirDistanceWithin, PathWithin,
-//     ...) must be preceded, in the same statement list, by a SetStop
-//     call installing a non-nil stop predicate — that predicate is how
-//     the request deadline reaches the search loop.
+//   - A searcher query (DistanceWithin, BidirDistanceWithin,
+//     BidirDecideWithin, PathWithin, ...) must be preceded, in the same
+//     statement list, by a SetStop call installing a non-nil stop
+//     predicate — that predicate is how the request deadline reaches the
+//     search loop.
 //   - The query's results must not be used before a statement consults
 //     ctx.Err(): a search stopped mid-flight returns a truncated answer,
 //     and serving it would hand the client a wrong distance instead of a
@@ -44,6 +45,7 @@ var Srvctx = &framework.Analyzer{
 var srvQueryMethods = map[string]bool{
 	"DistanceWithin":         true,
 	"BidirDistanceWithin":    true,
+	"BidirDecideWithin":      true,
 	"PathWithin":             true,
 	"DistanceWithinAvoiding": true,
 	"DistanceWithinMasked":   true,

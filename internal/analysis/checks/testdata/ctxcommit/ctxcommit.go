@@ -10,6 +10,10 @@ func (searcher) BidirDistanceWithin(u, v int, limit float64) (float64, bool) {
 	return float64(u + v), limit > 0
 }
 
+func (searcher) BidirDecideWithin(u, v int, limit float64) (float64, bool) {
+	return float64(u + v), limit > 0
+}
+
 // wrapsSearch is search-like: it calls a bounded query and returns a
 // non-error value, so its call sites are held to the same rule.
 func wrapsSearch(s searcher) bool {
@@ -22,6 +26,26 @@ func badDirect(ctx context.Context, s searcher, out []bool) {
 	_ = ctx
 	_, within := s.BidirDistanceWithin(1, 2, 3) // want "bounded-search result committed without a cancellation check"
 	out[0] = within
+}
+
+// badDecide commits a decision-only search result with no check in
+// between: a stopped decision search reports "no path" as readily as a
+// stopped distance search.
+func badDecide(ctx context.Context, s searcher, out []bool) {
+	_ = ctx
+	_, within := s.BidirDecideWithin(1, 2, 3) // want "bounded-search result committed without a cancellation check"
+	out[0] = within
+}
+
+// goodDecideChecked consults ctx.Err between the decision search and the
+// commit.
+func goodDecideChecked(ctx context.Context, s searcher, out []bool) error {
+	_, within := s.BidirDecideWithin(1, 2, 3)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	out[0] = within
+	return nil
 }
 
 // badViaHelper hides the search behind one helper level.

@@ -13,6 +13,9 @@ func (s *searcher) SetStop(f func() bool) { s.stop = f }
 func (s *searcher) BidirDistanceWithin(u, v int, limit float64) (float64, bool) {
 	return float64(u + v), limit > 0
 }
+func (s *searcher) BidirDecideWithin(u, v int, limit float64) (float64, bool) {
+	return float64(u + v), limit > 0
+}
 func (s *searcher) PathWithin(u, v int, limit float64) ([]int, float64, bool) {
 	return []int{u, v}, limit, true
 }
@@ -88,6 +91,27 @@ func (s *server) badReadNoRecheck(w http.ResponseWriter, r *http.Request, sr *se
 	d, ok := sr.BidirDistanceWithin(0, 1, 2) // want "without re-checking the request context"
 	sr.SetStop(nil)
 	respond(w, d)
+	respond(w, ok)
+}
+
+// badDecideNoRecheck serves a decision-only search result without
+// consulting ctx.Err.
+func (s *server) badDecideNoRecheck(w http.ResponseWriter, r *http.Request, sr *searcher) {
+	ctx := r.Context()
+	sr.SetStop(func() bool { return ctx.Err() != nil })
+	_, ok := sr.BidirDecideWithin(0, 1, 2) // want "without re-checking the request context"
+	sr.SetStop(nil)
+	respond(w, ok)
+}
+
+// badDecideNoStop runs a decision-only search with no stop predicate.
+func (s *server) badDecideNoStop(w http.ResponseWriter, r *http.Request, sr *searcher) {
+	ctx := r.Context()
+	_, ok := sr.BidirDecideWithin(0, 1, 2) // want "without a preceding SetStop"
+	if err := ctx.Err(); err != nil {
+		respond(w, err)
+		return
+	}
 	respond(w, ok)
 }
 

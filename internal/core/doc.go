@@ -93,7 +93,11 @@
 // u–h–v walk in the spanner, so it dominates delta_H(u, v) by the
 // triangle inequality — a hub-certified skip is a skip the exact engine
 // would also take, and output stays bit-identical for every hub count
-// (hubs=0 reproduces the pre-hub engines verbatim). Arrays are maintained
+// (hubs=0 reproduces the pre-hub engines verbatim). The graph engine
+// certifies from the other side too: on rows a sync just made exact,
+// max_h |d(h,u) − d(h,v)| is a lower bound on delta_H(u, v) (and a hub
+// reaching only one endpoint proves u and v disconnected), so a bound
+// above t·w accepts the edge with no search. Arrays are maintained
 // lazily: an accepted edge only shrinks distances, so each hub repairs by
 // re-relaxing just the dirty radius the edge improves
 // (graph.Searcher.RelaxNewEdge) instead of re-running Dijkstra, and
@@ -107,6 +111,19 @@
 // arrays are rebased: synced to a preserved prefix they survive and repair
 // forward; synced past the cut they restore a checkpoint or are refreshed
 // in place.
+//
+// # Near ties
+//
+// The graph engine's fast primitives — label sums and differences and the
+// bidirectional decision search — add path weights in other orders than
+// GreedyGraph's one-sided Dijkstra, so on a pair whose distance ties t·w
+// to within rounding they could decide differently. One rule makes every
+// decision canonical: a primitive decides only outside the band
+// (t·w·(1−δ), t·w·(1+δ)], where δ = (n+2)·2^-50 exceeds the rounding of
+// any path sum on n vertices, and a bound or found length inside the band
+// is decided again by the one-sided reference search itself. Exact ties
+// (integer weights) and near-ulp ties (weights in tenths) are
+// equivalence-tested.
 //
 // # Incremental maintenance
 //

@@ -10,21 +10,27 @@ import (
 // HubOracle is the hub-label certification fast path shared by every greedy
 // engine in this package. It maintains, for k selected hub vertices, the
 // exact single-source distance array over the *current spanner*, and
-// answers the certification query "is delta_H(u, v) <= limit?" in O(k) by
-// the hub-label upper bound
+// answers the certification query "is delta_H(u, v) <= limit?" in O(k)
+// from both sides. The upper bound (Certify)
 //
-//	min_h  d_H(u, h) + d_H(h, v)  >=  delta_H(u, v),
+//	min_h  d_H(u, h) + d_H(h, v)  >=  delta_H(u, v)
 //
-// an upper bound by the triangle inequality. A hub-certified skip is
-// therefore always a decision the exact engine would also make — the
-// oracle can only avoid Dijkstra searches, never change the output — so
-// engines running with hubs stay bit-identical to the reference scans.
-// One caveat, shared with the bidirectional primitive since PR 1: the
-// label sum d(u,h)+d(h,v) adds the two legs' path weights in a different
-// order than a single Dijkstra path sum, so the two could in principle
-// disagree on a pair whose u–h–v path length ties t*w within a float64
-// ulp. No such tie occurs in any of the repo's test families; the
-// equivalence tests assert exact identity.
+// is the length of a real u–h–v walk, so it certifies a skip; the lower
+// bound (Separates)
+//
+//	max_h  |d_H(h, u) - d_H(h, v)|  <=  delta_H(u, v)
+//
+// holds by the triangle inequality, and a hub reaching exactly one of u
+// and v proves them disconnected, so it certifies an accept. The upper
+// bound is sound on any row that overestimates — a row synced to a
+// sub-spanner of the live one — but the lower bound needs exact rows,
+// which only a sync provides: Separates syncs before it reads. Either way
+// an oracle decision is one the exact engine would also make; the oracle
+// can only avoid searches, never change the output. Label sums and
+// differences add path weights in another order than a Dijkstra path sum,
+// so the graph engine only trusts a bound outside the near-tie band (see
+// tieBand) and decides the pairs inside it by the one-sided reference
+// search, like every other fast primitive.
 //
 // # Maintenance
 //
@@ -34,9 +40,9 @@ import (
 // (graph.Searcher.RelaxNewEdge) instead of re-running a full Dijkstra.
 // Between syncs the arrays are distances on a sub-spanner of the live one,
 // hence still valid upper bounds. After a sync the arrays are exact on the
-// spanner at that moment, which additionally soundly supports the
-// fault-avoidance certificate (CertifyAvoiding) used by the
-// fault-tolerant engine.
+// spanner at that moment, which additionally soundly supports the lower
+// bound (Separates) and the fault-avoidance certificate (CertifyAvoiding)
+// used by the fault-tolerant engine.
 //
 // # Incremental rebase
 //
@@ -281,6 +287,50 @@ func (o *HubOracle) Certify(u, v int, limit float64) (float64, bool) {
 		}
 	}
 	return graph.Inf, false
+}
+
+// Separates reports whether the hub labels prove delta_H(u, v) > limit on
+// the live spanner — the lower-bound half of two-sided certification, on
+// which the engines accept an edge without any search. By the triangle
+// inequality every hub h gives
+//
+//	delta_H(u, v)  >=  |d_H(h, u) - d_H(h, v)|,
+//
+// and a hub that reaches exactly one of u and v proves they lie in
+// different components. Unlike the upper bound, this needs exact rows: a
+// stale row overestimates distances, which can inflate the difference, so
+// Separates syncs first. A bound counts only when it clears limit by the
+// near-tie band scaled to the sums involved (see tieBand), so the accept
+// always agrees with the one-sided reference search.
+func (o *HubOracle) Separates(u, v int, limit float64) bool {
+	o.sync()
+	return o.separates(u, v, limit, tieBand(o.h.N()))
+}
+
+// separates is Separates without the sync, for rows the caller knows are
+// exact and frozen: it only reads them, so the certification workers may
+// share it while the spanner stands still.
+func (o *HubOracle) separates(u, v int, limit, band float64) bool {
+	for _, row := range o.rows {
+		du, dv := row[u], row[v]
+		if du == dv {
+			continue // no information, including both unreachable
+		}
+		if du == graph.Inf || dv == graph.Inf {
+			return true
+		}
+		lb, far := du-dv, du
+		if lb < 0 {
+			lb, far = -lb, dv
+		}
+		if far < limit {
+			far = limit
+		}
+		if lb > limit+band*far {
+			return true
+		}
+	}
+	return false
 }
 
 // CertifyAvoiding reports whether the hub labels prove that the spanner

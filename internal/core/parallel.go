@@ -39,10 +39,10 @@ type ParallelOptions struct {
 	// are selected by the degree heuristic and their exact distance
 	// arrays over the growing spanner are maintained incrementally
 	// (HubOracle). Each candidate edge is first tested against the O(k)
-	// hub upper bound, and only uncertified edges pay a bidirectional
-	// search. Hub-certified skips are exact-equivalent, so output stays
-	// bit-identical for every k; <= 0 disables the oracle and reproduces
-	// the pre-hub engine verbatim.
+	// hub upper bound (a certified skip) and lower bound (a certified
+	// accept), and only edges neither bound decides pay a bidirectional
+	// search. Hub decisions are exact-equivalent, so output stays
+	// bit-identical for every k; <= 0 disables the oracle.
 	Hubs int
 	// Stats, when non-nil, is filled with engine counters for ablations
 	// and benchmarks.
@@ -88,6 +88,10 @@ type ParallelStats struct {
 	HubQueries int
 	HubSkips   int
 	HubRelaxed int
+	// HubAccepts counts accepts the hub lower bound decided without a
+	// search (HubOracle.Separates): the labels proved no path within the
+	// limit exists.
+	HubAccepts int
 	// Degradations logs, in order, each step the engine took down the
 	// resource-budget ladder (supply streamed, batch width floored, hub
 	// oracle dropped, ...). Empty for unbudgeted or in-budget runs. Every
@@ -138,16 +142,45 @@ func serialBatchStat(batchSize, scanLen int) int {
 	return scanLen
 }
 
+// tieBand is the relative half-width of the near-tie band on an n-vertex
+// graph. A float64 sum of at most n positive path weights lies within a
+// relative (n-1)·2^-53 of the real path length, whatever the summation
+// order, so two primitives adding the same path in different orders — the
+// one-sided reference, the bidirectional search, a hub label sum or
+// difference — can disagree on "d <= limit" only when d lies within a few
+// such errors of limit. (n+2)·2^-50 covers the sum of those errors with
+// room to spare; outside the band every primitive decides as the
+// reference does.
+func tieBand(n int) float64 { return float64(n+2) * 0x1p-50 }
+
+// decideWithin answers the greedy decision "delta_h(u, v) <= limit?"
+// exactly as GreedyGraph's one-sided search does, with the bidirectional
+// decision search doing the work. The search runs at limit·(1+band): no
+// path there is a certain no, a path within limit·(1−band) a certain yes,
+// and a found length inside the band is decided again by the reference
+// search itself.
+func decideWithin(search *graph.Searcher, h *graph.Graph, u, v int, limit float64) bool {
+	band := tieBand(h.N())
+	d, found := search.BidirDecideWithin(h, u, v, limit*(1+band))
+	if !found || d <= limit*(1-band) {
+		return found
+	}
+	_, within := search.DistanceWithin(h, u, v, limit)
+	return within
+}
+
 // GreedyGraphParallel computes the greedy t-spanner of g like GreedyGraph,
 // but fans the per-edge distance queries out over `workers` goroutines
 // (0 selects GOMAXPROCS). The output — edge sequence, weight, and
 // EdgesExamined — is deterministic (independent of workers, batching, and
-// scheduling) and identical to GreedyGraph's, with one caveat: the
-// bidirectional search sums path weights in a different order than the
-// one-sided search, so the two engines could in principle disagree on an
-// edge whose alternative-path length ties t*w within a float64 ulp. No
-// such tie occurs in any of the repo's test families; the equivalence
-// tests assert exact identity.
+// scheduling) and identical to GreedyGraph's, exact and near-ulp ties
+// included. The fast primitives (hub label sums and differences, the
+// bidirectional decision search) add path weights in other orders than
+// GreedyGraph's one-sided search, so they decide only outside the
+// near-tie band (limit·(1−δ), limit·(1+δ)] with δ = tieBand(n); any bound
+// or found path length inside the band is decided again by the one-sided
+// reference search (Searcher.DistanceWithin), which is GreedyGraph's own
+// decision.
 //
 // The engine scans the sorted edge list in batches. Within a batch, every
 // edge (u, v) is tested concurrently against the *frozen* spanner snapshot
@@ -157,8 +190,11 @@ func serialBatchStat(batchSize, scanLen int) int {
 // as edges are added. Edges the snapshot cannot certify are re-checked
 // serially, in exact greedy order, against the live spanner — so every
 // accept/reject decision matches the sequential scan bit for bit. Distance
-// queries use bounded bidirectional Dijkstra (Searcher.BidirDistanceWithin),
-// which explores two balls of radius ~t*w/2 instead of one of radius t*w.
+// queries use the bounded bidirectional decision search
+// (Searcher.BidirDecideWithin), which explores two balls of radius ~t*w/2
+// instead of one of radius t*w and stops at the first path within t*w.
+// With hubs, the label upper bound certifies skips and the label lower
+// bound certifies accepts before any search.
 func GreedyGraphParallel(g *graph.Graph, t float64, workers int) (*Result, error) {
 	return GreedyGraphParallelOpts(g, t, ParallelOptions{Workers: workers})
 }
@@ -256,6 +292,7 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := h.N()
+	band := tieBand(n)
 	serial := graph.NewSearcher(n)
 	stop := env.stopFn()
 	serial.SetStop(stop)
@@ -266,10 +303,12 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 
 	// hubCertify answers one certification query from the hub labels; a
 	// hit skips the edge without any search, exactly as the reference
-	// scan would (the hub bound dominates the spanner distance).
+	// scan would (the hub bound dominates the spanner distance). A bound
+	// inside the near-tie band is left to decideWithin, which owns the
+	// tie rule.
 	hubCertify := func(u, v int, limit float64) bool {
 		stats.HubQueries++
-		if _, ok := oracle.Certify(u, v, limit); ok {
+		if _, ok := oracle.Certify(u, v, limit*(1-band)); ok {
 			stats.HubSkips++
 			return true
 		}
@@ -351,7 +390,12 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 					res.EdgesExamined++
 					continue
 				}
-				_, within := serial.BidirDistanceWithin(h, e.U, e.V, t*e.W)
+				var within bool
+				if oracle != nil && oracle.Separates(e.U, e.V, t*e.W) {
+					stats.HubAccepts++
+				} else {
+					within = decideWithin(serial, h, e.U, e.V, t*e.W)
+				}
 				if env.active() {
 					if cerr := env.cancelled(); cerr != nil {
 						return cerr
@@ -414,8 +458,10 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 		}
 
 		// Phase 1: certify skips in parallel against the frozen h. The
-		// workers only read h (and the pre-pass's hubbed marks) and write
-		// disjoint certified[i] and errs[w] slots, so the only
+		// pre-pass left the hub rows exact on h, so an edge they separate
+		// needs no search: no path within the limit exists in h. The
+		// workers only read h, the rows and the pre-pass's hubbed marks,
+		// and write disjoint certified[i] and errs[w] slots, so the only
 		// synchronization needed is the join. A worker converts its own
 		// panic into a typed error and bails out early on cancellation;
 		// either way it reaches wg.Done, so the pool always drains.
@@ -447,8 +493,12 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 					}
 					e := edges[i]
 					env.onCertify(e)
+					if oracle != nil && oracle.separates(e.U, e.V, t*e.W, band) {
+						certified[i] = false
+						continue
+					}
 					//spannerlint:ignore ctxcommit the post-join cancelled() re-check discards every phase-1 certificate on truncation (monotone predicate)
-					_, within := search.BidirDistanceWithin(h, e.U, e.V, t*e.W)
+					within := decideWithin(search, h, e.U, e.V, t*e.W)
 					certified[i] = within
 				}
 			}(w, pool[w], start, end)
@@ -466,9 +516,11 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 		// Phase 2: replay the uncertified survivors serially in greedy
 		// order against the live spanner. A survivor may still be skipped
 		// here when an edge accepted earlier in this same batch created a
-		// path for it — exactly as the sequential scan would decide. Each
-		// candidate is folded into EdgesExamined as its decision commits,
-		// so an abort mid-batch leaves the exact decided count.
+		// path for it — exactly as the sequential scan would decide. The
+		// hub rows are synced to the live spanner and tried as a lower
+		// bound before any search. Each candidate is folded into
+		// EdgesExamined as its decision commits, so an abort mid-batch
+		// leaves the exact decided count.
 		survivors := 0
 		for i, e := range edges {
 			if oracle != nil && hubbed[i] {
@@ -482,7 +534,12 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 			}
 			survivors++
 			env.onCertify(e)
-			_, within := serial.BidirDistanceWithin(h, e.U, e.V, t*e.W)
+			var within bool
+			if oracle != nil && oracle.Separates(e.U, e.V, t*e.W) {
+				stats.HubAccepts++
+			} else {
+				within = decideWithin(serial, h, e.U, e.V, t*e.W)
+			}
 			if env.active() {
 				if cerr := env.cancelled(); cerr != nil {
 					return cerr

@@ -62,7 +62,14 @@ func (s *bidirScratch) reset() {
 // limit, so no admissible meeting remains — no shorter path exists. Any
 // path of length <= limit has every forward prefix and backward suffix
 // within the limit, so the pruning never hides an admissible path.
-func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, s *bidirScratch) float64 {
+//
+// With decide set the search answers only "is there a path within
+// limit?": every relaxation that labels a vertex the other side has
+// already reached checks the path through it, and the search returns
+// the first such path length <= limit at once. That length is an upper
+// bound on the distance, not the distance; a "no" answer is as exact as
+// the shortest-path mode's.
+func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, decide bool, s *bidirScratch) float64 {
 	if src == dst {
 		return 0
 	}
@@ -87,46 +94,32 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, s *bidirScratch
 			}
 		}
 		// Expand the side with the smaller frontier minimum.
-		if fMin <= bMin {
-			v, dv := s.hf.Pop()
-			if s.distB[v] < Inf {
-				if cand := dv + s.distB[v]; cand < best {
-					best = cand
-				}
+		heap, dist, other, touched := s.hf, s.distF, s.distB, &s.touchedF
+		if fMin > bMin {
+			heap, dist, other, touched = s.hb, s.distB, s.distF, &s.touchedB
+		}
+		v, dv := heap.Pop()
+		if other[v] < Inf {
+			if cand := dv + other[v]; cand < best {
+				best = cand
 			}
-			for _, h := range g.adj[v] {
-				u := int(h.to)
-				nd := dv + h.w
-				if nd > limit {
-					continue
+		}
+		for _, h := range g.adj[v] {
+			u := int(h.to)
+			nd := dv + h.w
+			if nd > limit {
+				continue
+			}
+			if nd < dist[u] {
+				if dist[u] == Inf {
+					*touched = append(*touched, int32(u))
 				}
-				if nd < s.distF[u] {
-					if s.distF[u] == Inf {
-						s.touchedF = append(s.touchedF, int32(u))
+				dist[u] = nd
+				heap.Push(u, nd)
+				if decide && other[u] < Inf {
+					if cand := nd + other[u]; cand <= limit {
+						return cand
 					}
-					s.distF[u] = nd
-					s.hf.Push(u, nd)
-				}
-			}
-		} else {
-			v, dv := s.hb.Pop()
-			if s.distF[v] < Inf {
-				if cand := dv + s.distF[v]; cand < best {
-					best = cand
-				}
-			}
-			for _, h := range g.adj[v] {
-				u := int(h.to)
-				nd := dv + h.w
-				if nd > limit {
-					continue
-				}
-				if nd < s.distB[u] {
-					if s.distB[u] == Inf {
-						s.touchedB = append(s.touchedB, int32(u))
-					}
-					s.distB[u] = nd
-					s.hb.Push(u, nd)
 				}
 			}
 		}
@@ -140,7 +133,7 @@ func (g *Graph) bidirDistanceWithin(src, dst int, limit float64, s *bidirScratch
 // Searcher.BidirDistanceWithin on hot paths.
 func (g *Graph) BidirDistanceWithin(src, dst int, limit float64) (float64, bool) {
 	s := newBidirScratch(g.N())
-	d := g.bidirDistanceWithin(src, dst, limit, s)
+	d := g.bidirDistanceWithin(src, dst, limit, false, s)
 	if d < Inf && d <= limit {
 		return d, true
 	}
@@ -154,5 +147,5 @@ func (g *Graph) BidirDistanceWithin(src, dst int, limit float64) (float64, bool)
 // search — it is the query primitive a distance oracle built on a spanner
 // would use. Returns Inf if dst is unreachable.
 func (g *Graph) BidirectionalDistance(src, dst int) float64 {
-	return g.bidirDistanceWithin(src, dst, Inf, newBidirScratch(g.N()))
+	return g.bidirDistanceWithin(src, dst, Inf, false, newBidirScratch(g.N()))
 }

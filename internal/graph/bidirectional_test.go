@@ -98,3 +98,67 @@ func TestBidirectionalDistanceStillExact(t *testing.T) {
 		}
 	}
 }
+
+// TestBidirDecideWithinMatchesDistanceWithin is the differential test of
+// the decision-only search against the one-sided reference. On float
+// weights the limits stay a relative 1% away from the distance (the two
+// searches may round differently at a tie); on integer weights every sum
+// is exact, so the limits include d == limit exactly and its neighbors
+// d ± 1, and the decision must match the reference there too. A "yes"
+// must report the length of a real path: at least the distance and at
+// most the limit.
+func TestBidirDecideWithinMatchesDistanceWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	integer := func(n int, p float64) *Graph {
+		g := New(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					g.MustAddEdge(u, v, float64(1+rng.Intn(4)))
+				}
+			}
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		exact bool
+	}{
+		{"float-sparse", randomGraph(rng, 60, 0.05), false},
+		{"float-dense", randomGraph(rng, 60, 0.3), false},
+		{"float-large", randomGraph(rng, 150, 0.02), false},
+		{"int-sparse", integer(60, 0.04), true},
+		{"int-dense", integer(80, 0.15), true},
+		{"int-disconnected", integer(80, 0.01), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, n := tc.g, tc.g.N()
+			search := NewSearcher(n)
+			for trial := 0; trial < 400; trial++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				exact := g.DijkstraTo(u, v)
+				limits := []float64{Inf, 0, exact * 1.5, exact * 1.01, exact * 0.99, exact * 0.5}
+				if tc.exact && exact < Inf && exact > 0 {
+					limits = append(limits, exact, exact-1, exact+1)
+				}
+				for _, limit := range limits {
+					// The reference reports (Inf, true) for an unreachable
+					// pair at limit Inf; only a finite distance is a yes.
+					wantD, wantOK := search.DistanceWithin(g, u, v, limit)
+					wantOK = wantOK && wantD < Inf
+					d, ok := search.BidirDecideWithin(g, u, v, limit)
+					if ok != wantOK {
+						t.Fatalf("(%d,%d) limit %v (distance %v): decide %v, reference %v", u, v, limit, exact, ok, wantOK)
+					}
+					if ok && (d > limit || (d < exact && !near(d, exact))) {
+						t.Fatalf("(%d,%d) limit %v: decide reported length %v, distance %v", u, v, limit, d, exact)
+					}
+					if !ok && d != Inf {
+						t.Fatalf("(%d,%d) limit %v: a no answer reported %v", u, v, limit, d)
+					}
+				}
+			}
+		})
+	}
+}

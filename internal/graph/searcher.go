@@ -69,9 +69,25 @@ func (s *Searcher) DistanceWithin(g *Graph, src, dst int, limit float64) (float6
 // g if it is at most limit, and (Inf, false) otherwise, growing bounded
 // Dijkstra balls from both endpoints at once. Each side explores radius
 // roughly limit/2, so on graphs whose balls grow with radius it settles far
-// fewer vertices than the one-sided DistanceWithin. This is the greedy
-// engine's query primitive; it is allocation-free after the first call.
+// fewer vertices than the one-sided DistanceWithin. It is the exact query
+// primitive of the served reads; it is allocation-free after the first
+// call.
 func (s *Searcher) BidirDistanceWithin(g *Graph, src, dst int, limit float64) (float64, bool) {
+	return s.bidirSearch(g, src, dst, limit, false)
+}
+
+// BidirDecideWithin is the decision-only form of BidirDistanceWithin: it
+// reports (d, true) as soon as the two balls close a src–dst path of
+// length d <= limit, and (Inf, false) when no path within limit exists.
+// d is the length of the first such path found — an upper bound on the
+// distance, not necessarily the distance — so a pair within limit is
+// answered without finishing the search. This is the greedy engine's
+// certification primitive, which needs only the yes/no answer.
+func (s *Searcher) BidirDecideWithin(g *Graph, src, dst int, limit float64) (float64, bool) {
+	return s.bidirSearch(g, src, dst, limit, true)
+}
+
+func (s *Searcher) bidirSearch(g *Graph, src, dst int, limit float64, decide bool) (float64, bool) {
 	if src == dst {
 		return 0, true
 	}
@@ -79,7 +95,7 @@ func (s *Searcher) BidirDistanceWithin(g *Graph, src, dst int, limit float64) (f
 		s.bidir = newBidirScratch(s.n)
 		s.bidir.stop = s.stop
 	}
-	d := g.bidirDistanceWithin(src, dst, limit, s.bidir)
+	d := g.bidirDistanceWithin(src, dst, limit, decide, s.bidir)
 	s.bidir.reset()
 	if d < Inf && d <= limit {
 		return d, true

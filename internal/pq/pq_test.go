@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -178,42 +179,126 @@ func TestPairingHeapPushDuplicateAndAbsentDecrease(t *testing.T) {
 	}
 }
 
-// TestHeapsAgree cross-checks the two heap implementations under a random
-// mixed workload of pushes, decrease-keys, and pops.
+// TestHeapsAgree cross-checks the 4-ary indexed heap against the pairing
+// heap reference under random mixed workloads of pushes (fresh and of items
+// already present), decrease-keys, pops and resets. The continuous-key
+// round makes ties a measure-zero event, so both heaps must pop the same
+// (item, key) pair at every step; the integer-key rounds are full of
+// duplicate keys, where the heaps may pop tied items in different orders,
+// so every pop is instead checked against a model of the live items: the
+// key must be the model's minimum and must be the popped item's own key.
 func TestHeapsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 64
+	for _, tc := range []struct {
+		name   string
+		seed   int64
+		key    func(rng *rand.Rand) float64
+		strict bool
+	}{
+		{"continuous", 3, func(rng *rand.Rand) float64 { return rng.Float64() * 1000 }, true},
+		{"duplicates", 4, func(rng *rand.Rand) float64 { return float64(rng.Intn(8)) }, false},
+		{"wide-duplicates", 5, func(rng *rand.Rand) float64 { return float64(rng.Intn(40)) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := heapsAgree(rand.New(rand.NewSource(tc.seed)), 64, 20000, tc.key, tc.strict); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// heapsAgree drives one IndexedMinHeap and a PairingHeap reference through
+// the same random operation sequence and reports the first disagreement;
+// see TestHeapsAgree.
+func heapsAgree(rng *rand.Rand, n, steps int, key func(*rand.Rand) float64, strict bool) error {
 	a := NewIndexedMinHeap(n)
 	b := NewPairingHeap(n)
-	// Continuous random keys make ties a measure-zero event, so both heaps
-	// must pop the same (item, key) pair at every step.
-	for step := 0; step < 5000; step++ {
-		switch op := rng.Intn(3); {
-		case op == 0 || a.Len() == 0:
-			v := rng.Intn(n)
-			k := rng.Float64() * 1000
-			if !a.Contains(v) {
-				a.Push(v, k)
-				b.Push(v, k)
+	model := make(map[int]float64)
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(10); {
+		case op == 9 && rng.Intn(20) == 0:
+			// Reuse after Reset: the indexed heap keeps its storage, the
+			// reference is rebuilt from scratch.
+			a.Reset()
+			b = NewPairingHeap(n)
+			clear(model)
+		case op < 4 || a.Len() == 0:
+			// Push, of an absent item or of one already present (then
+			// a decrease-key when smaller, a no-op otherwise).
+			v, k := rng.Intn(n), key(rng)
+			a.Push(v, k)
+			b.Push(v, k)
+			if old, ok := model[v]; !ok || k < old {
+				model[v] = k
 			}
-		case op == 1:
+		case op < 7:
 			v := rng.Intn(n)
-			if a.Contains(v) {
-				k := a.Key(v) - rng.Float64()*10
-				a.DecreaseKey(v, k)
-				b.DecreaseKey(v, k)
+			k := key(rng)
+			if a.Contains(v) && rng.Intn(2) == 0 {
+				k = a.Key(v) - float64(rng.Intn(3)) // equal keys are no-ops too
+			}
+			a.DecreaseKey(v, k)
+			b.DecreaseKey(v, k)
+			if old, ok := model[v]; ok && k < old {
+				model[v] = k
 			}
 		default:
 			va, ka := a.Pop()
 			vb, kb := b.Pop()
-			if ka != kb || va != vb {
-				t.Fatalf("step %d: popped (%d,%v) vs (%d,%v)", step, va, ka, vb, kb)
+			if ka != kb {
+				return fmt.Errorf("step %d: popped keys %v vs %v", step, ka, kb)
+			}
+			if strict && va != vb {
+				return fmt.Errorf("step %d: popped (%d,%v) vs (%d,%v)", step, va, ka, vb, kb)
+			}
+			if mk, ok := model[va]; !ok || mk != ka {
+				return fmt.Errorf("step %d: indexed heap popped (%d,%v), model key %v present %v", step, va, ka, mk, ok)
+			}
+			for v, k := range model {
+				if k < ka {
+					return fmt.Errorf("step %d: popped key %v but item %d holds %v", step, ka, v, k)
+				}
+			}
+			delete(model, va)
+			if !strict && va != vb {
+				// Keep the reference in step: it popped a different tied
+				// item, so put vb back and take va out instead.
+				b.Push(vb, kb)
+				if err := removePairing(b, va, ka); err != nil {
+					return fmt.Errorf("step %d: %v", step, err)
+				}
 			}
 		}
-		if a.Len() != b.Len() {
-			t.Fatalf("step %d: Len mismatch %d vs %d", step, a.Len(), b.Len())
+		if a.Len() != b.Len() || a.Len() != len(model) {
+			return fmt.Errorf("step %d: Len mismatch %d vs %d vs model %d", step, a.Len(), b.Len(), len(model))
+		}
+		for v, k := range model {
+			if !a.Contains(v) || a.Key(v) != k || !b.Contains(v) || b.Key(v) != k {
+				return fmt.Errorf("step %d: item %d: model key %v, indexed %v/%v", step, v, k, a.Contains(v), b.Contains(v))
+			}
 		}
 	}
+	return nil
+}
+
+// removePairing removes item v (key k, tied with the heap minimum) from the
+// pairing heap by popping tied items until v comes out and pushing the
+// others back.
+func removePairing(b *PairingHeap, v int, k float64) error {
+	var back []int
+	for {
+		u, ku := b.Pop()
+		if ku != k {
+			return fmt.Errorf("reference lost tied item %d: popped (%d,%v)", v, u, ku)
+		}
+		if u == v {
+			break
+		}
+		back = append(back, u)
+	}
+	for _, u := range back {
+		b.Push(u, k)
+	}
+	return nil
 }
 
 func TestIndexedMinHeapQuickProperty(t *testing.T) {
@@ -245,6 +330,22 @@ func TestIndexedMinHeapQuickProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Property: any sequence of pushes (fresh or repeated items),
+	// decrease-keys, pops and resets over small integer keys keeps the
+	// heap equal to the pairing-heap reference in length, membership and
+	// keys, and every pop returns a live item holding the minimum key.
+	ops := func(seed int64, width uint8) bool {
+		span := 1 + int(width%16)
+		err := heapsAgree(rand.New(rand.NewSource(seed)), 16, 400, func(r *rand.Rand) float64 { return float64(r.Intn(span)) }, false)
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
+	}
+	if err := quick.Check(ops, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -94,6 +94,22 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
+// admit registers a request with the in-flight count unless Drain has
+// started, and reports whether it did. The draining check and the Add run
+// under the read side of admitMu, and Drain takes the write side between
+// raising the flag and waiting, so every Add happens either before Drain's
+// Wait begins or not at all — a WaitGroup may not gain members while it is
+// being waited on from zero.
+func (s *Server) admit() bool {
+	s.admitMu.RLock()
+	defer s.admitMu.RUnlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
+}
+
 // contain is the outermost middleware: per-request panic containment
 // (capturePanic semantics at the serving layer — one request's panic
 // becomes its own typed 500, never a process crash) plus in-flight
@@ -101,7 +117,11 @@ func (s *Server) routes() *http.ServeMux {
 func (s *Server) contain(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rw := &respWriter{ResponseWriter: w}
-		s.inflight.Add(1)
+		if !s.admit() {
+			s.counters.Rejected.Add(1)
+			s.writeError(rw, http.StatusServiceUnavailable, codeDraining, "server draining")
+			return
+		}
 		defer s.inflight.Done()
 		defer func() {
 			if p := recover(); p != nil {
@@ -113,11 +133,6 @@ func (s *Server) contain(h http.HandlerFunc) http.HandlerFunc {
 				_ = debug.Stack // stack kept reachable for a debugger; not logged per-request
 			}
 		}()
-		if s.draining.Load() {
-			s.counters.Rejected.Add(1)
-			s.writeError(rw, http.StatusServiceUnavailable, codeDraining, "server draining")
-			return
-		}
 		h(rw, r)
 	}
 }

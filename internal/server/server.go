@@ -129,6 +129,7 @@ type Server struct {
 	drained  chan struct{} // closed when Drain has finished
 	drainErr error         // valid after drained is closed
 	inflight sync.WaitGroup
+	admitMu  sync.RWMutex // orders admissions against Drain; see admit
 
 	wedgeReason atomic.Pointer[string] // non-nil once the mutation path is wedged
 
@@ -287,6 +288,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	defer close(s.drained)
+	// An empty critical section is the barrier: once the write lock is
+	// ours, every admission that missed the flag has finished its Add, and
+	// every later one sees the flag and is rejected.
+	s.admitMu.Lock()
+	s.admitMu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
