@@ -8,7 +8,7 @@
 //	greedy -t 1.5 -points pts.txt -algo approx   # approximate-greedy
 //	greedy -t 3 -graph edges.txt -workers 4      # batched-parallel engine
 //	greedy -t 3 -graph edges.txt -workers -1     # sequential reference scan
-//	greedy -t 1.5 -points pts.txt -workers 4     # parallel cached-bound metric engine
+//	greedy -t 1.5 -points pts.txt -workers 4     # batched-parallel engine on the metric
 //	greedy -t 1.5 -points pts.txt -workers -1    # serial cached-bound reference
 //	greedy -t 1.5 -points pts.txt -insert 10     # incremental: build on all but the
 //	                                             # last 10 inputs, insert those via
@@ -18,8 +18,9 @@
 //	                                             # remove the last 10 inputs via the
 //	                                             # maintained spanner
 //	greedy -t 3 -graph edges.txt -delete 25      # same for the last 25 edges
-//	greedy -t 1.5 -points pts.txt -hubs -1       # hub-label certification fast path
-//	                                             # (auto hub count; -hubs k picks k)
+//	greedy -t 3 -graph edges.txt -hubs -1        # hub-label certification fast path
+//	                                             # (auto hub count; -hubs k picks k;
+//	                                             # point sets always use hubs)
 //	greedy -t 1.5 -points pts.txt -save s.snap   # build via the maintained engine and
 //	                                             # persist its full state (snapshot)
 //	greedy -load s.snap                          # print the spanner stored in a
@@ -98,7 +99,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	workers := fs.Int("workers", 0, "parallel greedy workers (0 = GOMAXPROCS, -1 = sequential reference engine)")
 	insert := fs.Int("insert", 0, "build on all but the last k inputs, then add those through the incremental engine")
 	del := fs.Int("delete", 0, "build on the full input, then remove the last k inputs through the dynamic engine")
-	hubs := fs.Int("hubs", 0, "hub-label certification fast path: k hub vertices (0 = off, -1 = auto); output is identical either way")
+	hubs := fs.Int("hubs", 0, "hub-label certification fast path: k hub vertices (-1 = auto; 0 = off for graphs, auto for point sets); output is identical either way")
 	timeout := fs.Duration("timeout", 0, "abort the build after this duration (budget deadline; 0 = none)")
 	maxBytes := fs.Int64("maxbytes", 0, "working-set byte budget with graceful degradation (0 = none)")
 	savePath := fs.String("save", "", "build through the maintained engine and persist its full state to this snapshot file")
@@ -220,8 +221,8 @@ func run(ctx context.Context, args []string, out *os.File) error {
 				// a plain build is routed through it; output is identical.
 				inc, err = core.NewIncrementalMetric(m, *t, mopts)
 			} else if *workers < 0 {
-				// The parallel metric engine produces the same spanner as
-				// the serial cached-bound scan; -workers -1 keeps the
+				// The batched scan produces the same spanner as the
+				// serial cached-bound scan; -workers -1 keeps the
 				// reference path reachable for cross-checking.
 				res, err = core.GreedyMetricFastSerial(m, *t)
 			} else {

@@ -16,7 +16,7 @@
 // -json path (default BENCH_greedy.json).
 //
 // -exp greedymetricbench does the same for the metric path: the serial
-// cached-bound scan against the batched-parallel metric engine on
+// cached-bound scan against the batched scan over the metric on
 // Euclidean and graph-induced metrics, writing BENCH_greedymetric.json by
 // default. -workers restricts its parallel sweep to one worker count
 // (0 sweeps 1, 4, and GOMAXPROCS). Both engine benchmarks also record
@@ -44,11 +44,11 @@
 // from-scratch build on its survivors, writing BENCH_dynamic.json by
 // default. -workers selects the engine worker count (default 1).
 //
-// -exp hubbench times the hub-label certification fast path against the
-// hubs-disabled engines on the graph, metric, and incremental acceptance
-// instances: wall-clock, exact searches avoided, hub hit rate and load
-// share, maintenance cost, and peak/total allocation, with outputs
-// compared edge-for-edge (counters included), writing BENCH_hub.json by
+// -exp hubbench times the hub-label certification fast path on the graph
+// and metric acceptance instances — against the hubs-disabled graph scan
+// and against the serial metric reference: wall-clock, exact searches
+// avoided, hub hit rate and load share, maintenance cost, and peak/total
+// allocation, with outputs compared edge-for-edge, writing BENCH_hub.json by
 // default. -workers selects the engine worker count (default 1); -hubs
 // overrides the enabled run's hub count (default: auto per instance).
 //

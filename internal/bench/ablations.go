@@ -172,16 +172,16 @@ func A4ParallelBatchWidth(scale Scale, seed int64) (*Table, error) {
 
 // A5MetricBatchWidth sweeps the batch width of the batched-parallel metric
 // engine on a Euclidean point set and a graph-induced distance matrix.
-// Wider batches amortize the row-refresh fan-out but certify against a
+// Wider batches amortize the certification fan-out but certify against a
 // staler snapshot, pushing pairs into the serial re-check; width 0 is the
 // adaptive policy, which should land near the best fixed width without
 // tuning on both metric kinds.
 func A5MetricBatchWidth(scale Scale, seed int64) (*Table, error) {
 	tab := &Table{
 		Title:  "A5 (ablation): batched-parallel metric engine batch width",
-		Header: []string{"kind", "n", "batch", "ms", "batches", "cached", "certified", "serial skips", "par refresh", "ser refresh", "kept", "final width"},
-		Caption: "cached = skips certified by an existing bound with no search; certified = skips proven\n" +
-			"by a parallel row refresh on the frozen snapshot; serial skips fell through to the\n" +
+		Header: []string{"kind", "n", "batch", "ms", "batches", "hub skips", "certified", "serial skips", "kept", "final width"},
+		Caption: "hub skips = skips the hub labels certified with no search; certified = skips proven\n" +
+			"by a parallel search on the frozen snapshot; serial skips fell through to the\n" +
 			"ordered re-check. batch=adaptive grows/shrinks with the certify rate.",
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -218,8 +218,7 @@ func A5MetricBatchWidth(scale Scale, seed int64) (*Table, error) {
 			}
 			ms := time.Since(start).Seconds() * 1000
 			tab.AddRow(inst.kind, itoa(inst.m.N()), name, f2(ms), itoa(stats.Batches),
-				itoa(stats.CachedSkips), itoa(stats.CertifiedSkips), itoa(stats.SerialSkips),
-				itoa(stats.ParallelRefreshes), itoa(stats.SerialRefreshes), itoa(stats.Kept),
+				itoa(stats.HubSkips), itoa(stats.CertifiedSkips), itoa(stats.SerialSkips), itoa(stats.Kept),
 				itoa(stats.FinalBatchSize))
 		}
 	}

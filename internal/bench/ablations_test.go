@@ -95,11 +95,11 @@ func TestA5MetricBatchWidthSmall(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", len(tab.Rows))
 	}
 	for _, row := range tab.Rows {
-		kept := atoiMust(t, row[10])
+		kept := atoiMust(t, row[8])
 		if kept == 0 {
 			t.Fatalf("no edges kept in row %v", row)
 		}
-		// Every examined pair is cached-skipped, snapshot-certified,
+		// Every examined pair is hub-skipped, snapshot-certified,
 		// serially skipped, or kept.
 		n := atoiMust(t, row[1])
 		total := atoiMust(t, row[5]) + atoiMust(t, row[6]) + atoiMust(t, row[7]) + kept
@@ -111,7 +111,7 @@ func TestA5MetricBatchWidthSmall(t *testing.T) {
 	// (identical decisions).
 	sizeByKind := map[string]int{}
 	for _, row := range tab.Rows {
-		kept := atoiMust(t, row[10])
+		kept := atoiMust(t, row[8])
 		if want, ok := sizeByKind[row[0]]; ok && kept != want {
 			t.Fatalf("batch width changed the %s spanner: %v", row[0], tab.Rows)
 		}

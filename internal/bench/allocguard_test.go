@@ -48,8 +48,8 @@ func TestAllocRegressionGuardMetricN4000(t *testing.T) {
 	pairs := uint64(n) * (n - 1) / 2
 	materializedFloor := 24*pairs + 8*uint64(n)*uint64(n)
 	limit := materializedFloor / 5
-	t.Logf("streamed peak %d B (total %d B), materialized floor %d B, limit %d B, peak bucket %d pairs, %d bound rows",
-		peak, total, materializedFloor, limit, stats.PeakBucketPairs, stats.RowsAllocated)
+	t.Logf("streamed peak %d B (total %d B), materialized floor %d B, limit %d B, peak bucket %d pairs",
+		peak, total, materializedFloor, limit, stats.PeakBucketPairs)
 	if peak > limit {
 		t.Fatalf("streamed n=%d build peaked at %d bytes; regression guard requires <= %d (materialized floor %d / 5)",
 			n, peak, limit, materializedFloor)
@@ -88,9 +88,9 @@ func TestStreamedBuildCompletesN20000(t *testing.T) {
 	}
 	pairs := uint64(n) * (n - 1) / 2
 	materializedFloor := 24*pairs + 8*uint64(n)*uint64(n)
-	t.Logf("n=%d build: %.1fs, peak %.1f MB, total alloc %.1f MB, materialized floor %.1f MB, peak bucket %d pairs, %d bound rows",
+	t.Logf("n=%d build: %.1fs, peak %.1f MB, total alloc %.1f MB, materialized floor %.1f MB, peak bucket %d pairs",
 		n, time.Since(start).Seconds(), float64(peak)/(1<<20), float64(total)/(1<<20),
-		float64(materializedFloor)/(1<<20), stats.PeakBucketPairs, stats.RowsAllocated)
+		float64(materializedFloor)/(1<<20), stats.PeakBucketPairs)
 	if peak > materializedFloor/5 {
 		t.Fatalf("peak %d exceeds materialized floor %d / 5", peak, materializedFloor)
 	}

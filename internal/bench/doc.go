@@ -13,7 +13,7 @@
 //   - GreedyBench times the sequential greedy graph scan against the
 //     batched-parallel graph engine and writes BENCH_greedy.json.
 //   - GreedyMetricBench times the serial cached-bound metric scan against
-//     the batched-parallel metric engine on Euclidean and graph-induced
+//     the batched scan over the metric on Euclidean and graph-induced
 //     metrics and writes BENCH_greedymetric.json, including the
 //     materialized-vs-streamed peak-allocation ratio of the n=4000
 //     acceptance case at Full scale.

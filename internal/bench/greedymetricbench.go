@@ -14,9 +14,9 @@ import (
 )
 
 // The greedy-metric benchmark compares the serial cached-bound metric scan
-// (core.GreedyMetricFastSerial) against the batched-parallel metric engine
-// (core.GreedyMetricFastParallel, concurrent bound-matrix row refreshes)
-// and emits a machine-readable report, following the same repeated-run
+// (core.GreedyMetricFastSerial) against the batched scan over the metric
+// (core.GreedyMetricFastParallel: hub labels, then concurrent searches on
+// a frozen snapshot) and emits a machine-readable report, following the same repeated-run
 // discipline as GreedyBench: every timing is measured reps times (>= 3),
 // the median is reported alongside the raw samples, run-to-run spread is
 // recorded, and the engines' outputs are compared edge-for-edge before any
@@ -42,7 +42,7 @@ type GreedyMetricBenchCase struct {
 	Parallel                  []GreedyBenchParallelRun `json:"parallel"`
 	// PeakAllocRatio is SequentialPeakAllocBytes over the smallest
 	// parallel-run peak: how many times less memory the streamed
-	// bucketed supply plus sparse bound rows need than the
+	// bucketed supply and the batched scan need than the
 	// materialize-then-sort pipeline for the same (bit-identical)
 	// spanner.
 	PeakAllocRatio float64 `json:"peak_alloc_ratio"`
@@ -60,8 +60,8 @@ type GreedyMetricBenchReport struct {
 	Cases      []GreedyMetricBenchCase `json:"cases"`
 }
 
-// GreedyMetricBench times serial vs parallel cached-bound greedy
-// construction on Euclidean and graph-induced metrics and returns both a
+// GreedyMetricBench times the serial cached-bound scan against the
+// batched scan on Euclidean and graph-induced metrics and returns both a
 // printable table and the JSON report. workers > 0 restricts the parallel
 // sweep to that single worker count (the -workers flag of cmd/spannerbench);
 // workers <= 0 sweeps {1, 4, GOMAXPROCS}. Small scale runs n≈200
@@ -73,11 +73,11 @@ func GreedyMetricBench(ctx context.Context, scale Scale, seed int64, reps, worke
 		reps = 3
 	}
 	tab := &Table{
-		Title:  "GREEDY-METRIC-BENCH: serial vs batched-parallel cached-bound metric engine",
+		Title:  "GREEDY-METRIC-BENCH: serial cached-bound reference vs batched-parallel scan",
 		Header: []string{"kind", "n", "pairs", "engine", "workers", "median ms", "spread %", "speedup", "peak MB", "identical"},
 		Caption: "Serial = materialized sorted pair list + dense bound matrix, one-row-at-a-time refreshes;\n" +
-			"parallel = streamed weight-bucketed candidate supply + sparse bound rows, concurrent row\n" +
-			"refreshes against a frozen snapshot. Outputs compared edge-for-edge; peak MB is the heap\n" +
+			"parallel = streamed weight-bucketed candidate supply, hub labels, concurrent searches\n" +
+			"against a frozen snapshot. Outputs compared edge-for-edge; peak MB is the heap\n" +
 			"high-water mark of a dedicated non-timed pass.",
 	}
 	report := &GreedyMetricBenchReport{
@@ -103,8 +103,8 @@ func GreedyMetricBench(ctx context.Context, scale Scale, seed int64, reps, worke
 	if scale == Full {
 		// The n=4000 instance is the memory acceptance case: the
 		// materialized-pairs path fronts ~8M sorted pairs (~190 MB) plus
-		// a 128 MB dense bound matrix, while the streamed supply plus
-		// sparse rows must come in at least 5x below that peak.
+		// a 128 MB dense bound matrix, while the streamed supply and the
+		// batched scan must come in at least 5x below that peak.
 		instances = append(instances,
 			instance{"euclidean", metric.MustEuclidean(gen.UniformPoints(rng, 1000, 2)), 1.5},
 			instance{"euclidean", metric.MustEuclidean(gen.UniformPoints(rng, 4000, 2)), 1.5})

@@ -46,8 +46,6 @@ type PairStreamRun struct {
 	// the figure the merged small buckets and the subdivision prefetch
 	// shrink (0 for the materialized supply).
 	SupplyPasses int `json:"supply_passes,omitempty"`
-	// RowsAllocated counts sparse bound rows materialized by the engine.
-	RowsAllocated int `json:"rows_allocated"`
 	// Identical records edge-for-edge equality with the serial reference.
 	Identical bool `json:"identical"`
 }
@@ -88,10 +86,10 @@ func PairStreamBench(ctx context.Context, scale Scale, seed int64, reps, workers
 	}
 	tab := &Table{
 		Title:  "PAIRSTREAM-BENCH: materialized vs streamed candidate supply (metric engine)",
-		Header: []string{"kind", "n", "pairs", "supply", "bucket cap", "median ms", "peak MB", "total MB", "peak bucket", "rows", "identical"},
+		Header: []string{"kind", "n", "pairs", "supply", "bucket cap", "median ms", "peak MB", "total MB", "peak bucket", "identical"},
 		Caption: "Same batched engine either fed by the fully materialized, globally sorted pair list or by\n" +
 			"the streamed weight-bucketed supply (grid-bucketed for Euclidean points). peak/total MB\n" +
-			"from a dedicated non-timed pass; rows = sparse bound rows materialized.",
+			"from a dedicated non-timed pass.",
 	}
 	report := &PairStreamBenchReport{
 		GoVersion:  runtime.Version(),
@@ -146,7 +144,6 @@ func PairStreamBench(ctx context.Context, scale Scale, seed int64, reps, workers
 			run.SpreadPct = spreadPct(run.MS)
 			run.PeakBucketPairs = stats.PeakBucketPairs
 			run.SupplyPasses = stats.SupplyPasses
-			run.RowsAllocated = stats.RowsAllocated
 			peak, totalAlloc, err := measureAlloc(func() error {
 				_, err := core.GreedyMetricFastParallelOpts(m, stretch, opts)
 				return err
@@ -165,7 +162,7 @@ func PairStreamBench(ctx context.Context, scale Scale, seed int64, reps, workers
 			}
 			tab.AddRow(c.Kind, itoa(n), itoa(c.Pairs), cfg.supply, capLabel,
 				f2(run.MedianMS), mb(run.PeakAllocBytes), mb(run.TotalAllocBytes),
-				itoa(run.PeakBucketPairs), itoa(run.RowsAllocated), yesNo(run.Identical))
+				itoa(run.PeakBucketPairs), yesNo(run.Identical))
 		}
 		if len(c.Runs) >= 2 && c.Runs[1].PeakAllocBytes > 0 {
 			c.PeakAllocRatio = float64(c.Runs[0].PeakAllocBytes) / float64(c.Runs[1].PeakAllocBytes)

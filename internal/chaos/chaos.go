@@ -30,12 +30,6 @@ const (
 	// with a budget deadline it models a stalled worker: the deadline
 	// passes mid-certification and the engine must abort cleanly.
 	FaultStall
-	// FaultCorrupt flips one bit of a materialized cached bound row at
-	// the AtBatch-th batch boundary, bypassing the row's checksum — a
-	// simulated memory fault. A guarded engine must either never consult
-	// the damaged row (identical output) or surface ErrCorruptState;
-	// never silently certify from it.
-	FaultCorrupt
 )
 
 func (f Fault) String() string {
@@ -48,8 +42,6 @@ func (f Fault) String() string {
 		return "cancel"
 	case FaultStall:
 		return "stall"
-	case FaultCorrupt:
-		return "corrupt"
 	}
 	return "unknown"
 }
@@ -63,12 +55,6 @@ type Schedule struct {
 	// maintained spanner that spans the initial build and every replay).
 	// A trigger past the run's last certification simply never fires.
 	AtCertify int64
-	// AtBatch fires FaultCorrupt at this 0-based batch boundary.
-	AtBatch int
-	// Row, Col, Bit locate the corrupted bound-row entry and the bit to
-	// flip within it.
-	Row, Col int
-	Bit      uint
 	// Stall is how long the stalled certification sleeps.
 	Stall time.Duration
 	// AtRebase redirects FaultPanic/FaultCancel/FaultStall to the rebase
@@ -79,19 +65,13 @@ type Schedule struct {
 }
 
 // RandomSchedule draws a schedule for the given fault class: the certify
-// trigger lands uniformly in [1, maxCertify] (so some schedules fire
-// mid-scan and some never fire), the corruption batch in [0, 4), and the
-// corruption target anywhere in an n-point instance.
-func RandomSchedule(rng *rand.Rand, fault Fault, n int, maxCertify int64, stall time.Duration) Schedule {
+// trigger lands uniformly in [1, maxCertify], so some schedules fire
+// mid-scan and some never fire.
+func RandomSchedule(rng *rand.Rand, fault Fault, maxCertify int64, stall time.Duration) Schedule {
 	s := Schedule{Fault: fault, Stall: stall}
 	if maxCertify > 0 {
 		s.AtCertify = 1 + rng.Int63n(maxCertify)
 	}
-	s.AtBatch = rng.Intn(4)
-	if n > 0 {
-		s.Row, s.Col = rng.Intn(n), rng.Intn(n)
-	}
-	s.Bit = uint(rng.Intn(16))
 	return s
 }
 
@@ -100,11 +80,10 @@ func RandomSchedule(rng *rand.Rand, fault Fault, n int, maxCertify int64, stall 
 // fires at most once, and every hook is safe for concurrent calls (the
 // engines invoke OnCertify from worker goroutines).
 type Injector struct {
-	sched     Schedule
-	cancel    context.CancelFunc
-	certs     atomic.Int64
-	fired     atomic.Bool
-	corrupted atomic.Bool
+	sched  Schedule
+	cancel context.CancelFunc
+	certs  atomic.Int64
+	fired  atomic.Bool
 }
 
 // New returns an injector for the schedule.
@@ -118,7 +97,7 @@ func (in *Injector) Arm(parent context.Context) (context.Context, core.Injection
 	if in.sched.Fault == FaultCancel {
 		ctx, in.cancel = context.WithCancel(parent)
 	}
-	return ctx, core.InjectionHooks{OnCertify: in.onCertify, OnBatch: in.onBatch, OnRebase: in.onRebase}
+	return ctx, core.InjectionHooks{OnCertify: in.onCertify, OnRebase: in.onRebase}
 }
 
 // Release releases the cancellable context Arm derived; safe to call
@@ -131,10 +110,6 @@ func (in *Injector) Release() {
 
 // Fired reports whether the certify-triggered fault fired.
 func (in *Injector) Fired() bool { return in.fired.Load() }
-
-// Corrupted reports whether FaultCorrupt actually damaged a materialized
-// row (a miss on an unmaterialized row leaves the run fault-free).
-func (in *Injector) Corrupted() bool { return in.corrupted.Load() }
 
 // Certifications reports how many certification points the run passed.
 func (in *Injector) Certifications() int64 { return in.certs.Load() }
@@ -177,19 +152,5 @@ func (in *Injector) onRebase(int) {
 		if in.fired.CompareAndSwap(false, true) {
 			time.Sleep(in.sched.Stall)
 		}
-	}
-}
-
-func (in *Injector) onBatch(batch int, c core.Corrupter) {
-	if in.sched.Fault != FaultCorrupt || c == nil || batch != in.sched.AtBatch {
-		return
-	}
-	// Fire at most once: a retried replay revisits batch AtBatch, and
-	// re-corrupting it would make recovery impossible by construction.
-	if !in.corrupted.CompareAndSwap(false, true) {
-		return
-	}
-	if !c.FlipRowBit(in.sched.Row, in.sched.Col, in.sched.Bit) {
-		in.corrupted.Store(false)
 	}
 }

@@ -346,7 +346,7 @@ func crashModes() []*crashMode {
 		{name: "euclid", euclid: true, initN: 6,
 			mopts: core.MetricParallelOptions{Workers: 1, Hubs: 3}, ops: metricScript()},
 		{name: "matrix", initN: 6,
-			mopts: core.MetricParallelOptions{Workers: 1, GuardRows: true}, ops: metricScript()},
+			mopts: core.MetricParallelOptions{Workers: 1}, ops: metricScript()},
 		{name: "graph", graphMode: true,
 			gopts: core.ParallelOptions{Workers: 1, Hubs: 3}, ops: graphScript()},
 	}

@@ -2,13 +2,12 @@
 //
 // It turns the engines' InjectionHooks surface into reproducible fault
 // schedules: a Schedule names one fault class (worker panic, stalled
-// certification, context cancellation at a randomized scan position, or a
-// bit flip in a cached bound row) and the deterministic trigger point it
-// fires at; an Injector arms the schedule and exposes the hooks plus the
+// certification, or context cancellation at a randomized scan position)
+// and the deterministic trigger point it fires at; an Injector arms the schedule and exposes the hooks plus the
 // context the engine should run under.
 //
 // The property suite in chaos_test.go drives randomized schedules against
-// all four engines and asserts the robustness invariant the engines
+// the graph, metric, fault-tolerant, and maintained builds and asserts the robustness invariant the engines
 // document:
 //
 //	any injected fault yields either output bit-identical to the serial

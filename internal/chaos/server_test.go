@@ -214,11 +214,6 @@ func gatedHooks(hooks core.InjectionHooks) (core.InjectionHooks, *atomic.Bool) {
 				hooks.OnCertify(e)
 			}
 		},
-		OnBatch: func(batch int, c core.Corrupter) {
-			if armed.Load() {
-				hooks.OnBatch(batch, c)
-			}
-		},
 		OnRebase: func(keep int) {
 			if armed.Load() {
 				hooks.OnRebase(keep)
@@ -236,7 +231,7 @@ func gatedHooks(hooks core.InjectionHooks) (core.InjectionHooks, *atomic.Bool) {
 // must be bit-identical to the fault-free reference, reads during the
 // faults must keep answering, and no goroutine may leak.
 func TestServeChaosFaultSchedules(t *testing.T) {
-	mopts := core.MetricParallelOptions{Workers: 2, Hubs: 4, GuardRows: true}
+	mopts := core.MetricParallelOptions{Workers: 2, Hubs: 4}
 	digests := srvPrefixDigests(t, mopts)
 	want := digests[len(digests)-1]
 	script := srvScript()
@@ -261,9 +256,9 @@ func TestServeChaosFaultSchedules(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(17))
 	schedules := 0
-	for _, fault := range []chaos.Fault{chaos.FaultPanic, chaos.FaultCancel, chaos.FaultStall, chaos.FaultCorrupt} {
-		for round := 0; round < 5; round++ {
-			sched := chaos.RandomSchedule(rng, fault, 25, maxCertify, 2*time.Millisecond)
+	for _, fault := range []chaos.Fault{chaos.FaultPanic, chaos.FaultCancel, chaos.FaultStall} {
+		for round := 0; round < 7; round++ {
+			sched := chaos.RandomSchedule(rng, fault, maxCertify, 2*time.Millisecond)
 			t.Run(fmt.Sprintf("%s/round%d", fault, round), func(t *testing.T) {
 				baseline := runtime.NumGoroutine()
 				in := chaos.New(sched)

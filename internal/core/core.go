@@ -113,21 +113,18 @@ func GreedyGraph(g *graph.Graph, t float64) (*Result, error) { //spannerlint:ign
 // GreedyMetric runs the greedy algorithm on a finite metric space by
 // examining all n(n-1)/2 interpoint distances in non-decreasing order, the
 // "path-greedy" of the geometric spanner literature. It is routed through
-// the batched cached-bound engine (GreedyMetricFastParallel), whose output
-// is identical to the naive sequential scan: every pair receives the exact
-// greedy accept/reject decision.
+// the batched scan (GreedyMetricFastParallel), whose output is identical
+// to the naive sequential scan: every pair receives the exact greedy
+// accept/reject decision.
 func GreedyMetric(m metric.Metric, t float64) (*Result, error) {
 	return GreedyMetricFastParallel(m, t, 0)
 }
 
-// GreedyMetricFast is the cached-distance variant of the metric greedy
-// algorithm in the spirit of Bose et al. [BCF+10]: it maintains upper
-// bounds on current spanner distances (sparse rows, allocated on first
-// refresh) and refreshes a row with a full Dijkstra only when the cached
-// bound fails to certify a skip. It is routed through
-// GreedyMetricFastParallel, which streams candidates from the bucketed
-// supply and refreshes rows concurrently over all cores; the output is
-// bit-identical to the serial reference (GreedyMetricFastSerial) and to
+// GreedyMetricFast is the fast metric greedy algorithm. It is routed
+// through GreedyMetricFastParallel, which streams candidates from the
+// bucketed supply, certifies most pairs from hub labels, and fans the
+// remaining searches out over all cores; the output is bit-identical to
+// the serial cached-bound reference (GreedyMetricFastSerial) and to
 // GreedyMetric.
 func GreedyMetricFast(m metric.Metric, t float64) (*Result, error) {
 	return GreedyMetricFastParallel(m, t, 0)

@@ -13,11 +13,12 @@
 // t * w(u, v). On graphs the candidates are the input's edges; on metrics
 // they are all n(n-1)/2 interpoint distances ("path-greedy").
 //
-// # The batched-parallel engines and the frozen-snapshot invariant
+// # The batched scan and the frozen-snapshot invariant
 //
-// Both scan loops — GreedyGraphParallel for graphs and
-// GreedyMetricFastParallel for metrics — parallelize the same way, and
-// both rest on one invariant: spanner distances only shrink as the greedy
+// One batched scan serves both inputs: GreedyGraphParallel runs it over a
+// graph's edges and GreedyMetricFastParallel over a metric's complete
+// graph, the two entry points differing only in the candidate supply and
+// the hub selection. The scan rests on one invariant: spanner distances only shrink as the greedy
 // scan adds edges, so any skip certified against a frozen snapshot H0 of
 // the growing spanner stays correct for every later spanner H ⊇ H0.
 // Concretely, if delta_{H0}(u, v) <= t * w(u, v) then the sequential
@@ -34,27 +35,17 @@
 // frozensnap analyzer; map-order and wall-clock nondeterminism in these
 // paths by mapdet and detpure. See README "Static analysis".)
 //
-// The two engines differ only in the certification primitive:
-//
-//   - GreedyGraphParallel answers each query with bounded bidirectional
-//     Dijkstra on the snapshot (two balls of radius ~t*w/2 instead of one
-//     of radius t*w).
-//   - GreedyMetricFastParallel maintains the cached distance-bound matrix
-//     of GreedyMetricFastSerial (the Bose et al. [BCF+10] trick): cached
-//     upper bounds certify most skips with no search at all, and the rows
-//     that need recomputing are refreshed concurrently — each row is owned
-//     by exactly one worker, so a batch's refreshes need no locking. A
-//     refreshed row computed on H0 is again a valid row of upper bounds
-//     for every later H, by the same monotonicity.
-//
-// Both engines scan in adaptive weight batches: the batch width grows
+// A query the hub labels (below) leave open is answered by a bounded
+// bidirectional decision search on the snapshot (two balls of radius
+// ~t*w/2 instead of one of radius t*w). The scan runs in adaptive weight
+// batches: the batch width grows
 // while snapshots certify almost everything and shrinks when the snapshot
 // goes stale too fast (too many pairs fall through to the serial
 // re-check).
 //
-// # The streaming candidate supply and the sparse bound rows
+// # The streaming candidate supply
 //
-// Both batched engines pull their candidates from a CandidateSource
+// The batched scan pulls their candidates from a CandidateSource
 // instead of a materialized slice. The classic pipeline builds every
 // candidate up front — all n(n-1)/2 interpoint pairs for metrics, a full
 // copy of the edge list for graphs — and sorts it globally, so an
@@ -70,31 +61,22 @@
 // inspects only grid cells within the bucket's distance — pairs beyond
 // the active weight scale are never even evaluated. The streamed order is
 // exactly the materialized order (ties included), so engine output is
-// bit-identical for any supply.
-//
-// The metric engine's dense n x n bound matrix is likewise replaced by a
-// sparse row store: rows materialize on first refresh (never-refreshed
-// vertices cost nothing) and hold bfloat16 upper bounds rounded toward
-// +Inf. The lossy cache is sound because a rounded-up upper bound is
-// still an upper bound, and it cannot change output because every pair
-// the cache fails to certify is decided on an exact float64 Dijkstra
-// distance — exactly the serial reference's decision procedure. The
-// serial reference (GreedyMetricFastSerial) intentionally keeps the
-// materialized pair list and dense float64 matrix as the
+// bit-identical for any supply. The serial metric reference
+// (GreedyMetricFastSerial) intentionally keeps the materialized pair list
+// and the dense float64 bound matrix of Bose et al. [BCF+10] as the
 // memory-comparison baseline and ground truth.
 //
 // # The hub-label certification fast path
 //
-// With the Hubs option both engines consult a HubOracle before paying any
-// search: k hub vertices (degree-selected on graphs, ball-growth-sampled
+// With the Hubs option the scan consults a HubOracle before paying any
+// search (metric scans always do; see MetricParallelOptions.Hubs): k hub vertices (degree-selected on graphs, ball-growth-sampled
 // on metrics) carry maintained distance arrays over the growing spanner,
 // and the label bound min_h d(u,h)+d(h,v) certifies a skip in O(k). The
 // soundness argument is one line: the label bound is the length of a real
 // u–h–v walk in the spanner, so it dominates delta_H(u, v) by the
 // triangle inequality — a hub-certified skip is a skip the exact engine
-// would also take, and output stays bit-identical for every hub count
-// (hubs=0 reproduces the pre-hub engines verbatim). The graph engine
-// certifies from the other side too: on rows a sync just made exact,
+// would also take, and output stays bit-identical for every hub count.
+// The labels certify from the other side too: on rows a sync just made exact,
 // max_h |d(h,u) − d(h,v)| is a lower bound on delta_H(u, v) (and a hub
 // reaching only one endpoint proves u and v disconnected), so a bound
 // above t·w accepts the edge with no search. Arrays are maintained
@@ -102,28 +84,23 @@
 // re-relaxing just the dirty radius the edge improves
 // (graph.Searcher.RelaxNewEdge) instead of re-running Dijkstra, and
 // between repairs the arrays are distances on a sub-spanner — still valid
-// upper bounds. On the metric path the oracle additionally bounds row
-// refreshes to a factor of the query radius (sound: unreached entries
-// stay +Inf, a trivial upper bound, and the pair decision reads an exact
-// settled distance or a beyond-limit verdict either way) and pre-seeds
-// the sparse bound rows with the bounds it certifies, so the cache layer
-// and the oracle compound. Across graph-mode incremental replays the
+// upper bounds. Across graph-mode incremental replays the
 // arrays are rebased: synced to a preserved prefix they survive and repair
 // forward; synced past the cut they restore a checkpoint or are refreshed
 // in place.
 //
 // # Near ties
 //
-// The graph engine's fast primitives — label sums and differences and the
+// The scan's fast primitives — label sums and differences and the
 // bidirectional decision search — add path weights in other orders than
-// GreedyGraph's one-sided Dijkstra, so on a pair whose distance ties t·w
+// the one-sided Dijkstra of GreedyGraph, so on a pair whose distance ties t·w
 // to within rounding they could decide differently. One rule makes every
 // decision canonical: a primitive decides only outside the band
 // (t·w·(1−δ), t·w·(1+δ)], where δ = (n+2)·2^-50 exceeds the rounding of
 // any path sum on n vertices, and a bound or found length inside the band
 // is decided again by the one-sided reference search itself. Exact ties
 // (integer weights) and near-ulp ties (weights in tenths) are
-// equivalence-tested.
+// equivalence-tested, on graphs and on their shortest-path metrics.
 //
 // # Incremental maintenance
 //
@@ -138,9 +115,9 @@
 // survivors stay Euclidean and keep the grid supply) and a flush runs
 // GreedyMetricFastParallelOpts on it. Nothing is cached across flushes: a
 // maintained replay that resumes the scan at the first disturbed position
-// and carries bound rows and hub arrays across updates measures at about
-// one rebuild per flush, and about two for deletions, so metric mode does
-// not keep one.
+// and carries cached bounds and hub arrays across updates measured at
+// about one rebuild per flush, and about two for deletions, so metric mode
+// does not keep one.
 //
 // In graph mode the maintained replay pays for itself, and stays. Every
 // greedy decision depends only on the candidates and accepted edges
@@ -169,18 +146,15 @@
 // (Result.Partial set) with ErrCancelled; worker pools are always
 // joined before returning. Budget pressure walks a degradation ladder
 // (materialized supply → streamed, narrower buckets, smaller batches,
-// hub oracle dropped, bound rows dropped) in which every rung is
-// output-invariant — each merely disables a fast path whose soundness
-// argument never affected decisions — and is recorded in the stats'
-// Degradations log. Worker panics are converted to ErrEnginePanic;
-// checksum-guarded bound rows (GuardRows) surface bit flips as
-// ErrCorruptState, verified before every fold, overwrite, and
-// cache-certified skip.
+// hub oracle dropped) in which every rung is output-invariant — each
+// merely disables a fast path whose soundness argument never affected
+// decisions — and is recorded in the stats' Degradations log. Worker
+// panics are converted to ErrEnginePanic.
 //
-// The invariant the internal/chaos property suite enforces across all
-// four engines: any injected fault — worker panic, stalled
-// certification, cancellation at a randomized scan position, or a
-// checksum-bypassing bit flip — yields either output bit-identical to
+// The invariant the internal/chaos property suite enforces across the
+// graph, metric, fault-tolerant, and incremental builds: any injected
+// fault — worker panic, stalled certification, or cancellation at a
+// randomized scan position — yields either output bit-identical to
 // the serial reference or a clean typed error with the exact decided
 // prefix; never silent divergence, never a leaked goroutine.
 //

@@ -62,7 +62,7 @@ func TestDeleteMatchesFromScratch(t *testing.T) {
 		for oi, opts := range []MetricParallelOptions{
 			{Workers: 1},
 			{Workers: 4, Hubs: 4},
-			{Workers: 3, BatchSize: 9, BucketPairs: 41, Hubs: 4, GuardRows: true},
+			{Workers: 3, BatchSize: 9, BucketPairs: 41, Hubs: 4},
 		} {
 			inc, err := NewIncrementalMetric(m, 1.7, opts)
 			if err != nil {

@@ -142,7 +142,7 @@ func ftScan(m metric.Metric, t float64, f int, opts FaultTolerantOptions, env *s
 		if cerr := env.cancelled(); cerr != nil {
 			return cerr
 		}
-		env.onBatch(batchNo, nil)
+		env.onBatch(batchNo)
 		pairs := src.NextBatch(batch)
 		if len(pairs) == 0 {
 			break

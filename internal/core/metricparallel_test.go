@@ -122,31 +122,50 @@ func TestGreedyMetricRoutingIdentity(t *testing.T) {
 }
 
 // TestGreedyMetricFastParallelStats sanity-checks the engine counters:
-// every examined pair is accounted for exactly once and the refresh
-// counters are plausible.
+// every examined pair is accounted for exactly once by the scan's shared
+// identity HubSkips + CertifiedSkips + SerialSkips + Kept ==
+// EdgesExamined, with and without an explicit hub count, and the hub
+// oracle is on by default.
 func TestGreedyMetricFastParallelStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 80, 2))
 	for _, workers := range []int{1, 4} {
-		var stats MetricParallelStats
-		res, err := GreedyMetricFastParallelOpts(m, 1.5, MetricParallelOptions{Workers: workers, Stats: &stats})
-		if err != nil {
-			t.Fatal(err)
+		for _, hubs := range []int{0, 5} {
+			var stats MetricParallelStats
+			res, err := GreedyMetricFastParallelOpts(m, 1.5, MetricParallelOptions{Workers: workers, Hubs: hubs, Stats: &stats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("w=%d/hubs=%d", workers, hubs)
+			requireScanIdentity(t, label, &stats.ParallelStats, res)
+			if stats.HubQueries == 0 || stats.HubSkips == 0 {
+				t.Fatalf("%s: hub oracle idle: %+v", label, stats)
+			}
+			if stats.FinalBatchSize == 0 {
+				t.Fatalf("%s: implausible stats: %+v", label, stats)
+			}
+			if workers > 1 && stats.Batches == 0 {
+				t.Fatalf("%s: parallel engine did no batched work: %+v", label, stats)
+			}
+			if stats.CachedSkips|stats.ParallelRefreshes|stats.SerialRefreshes|stats.RefreshTouched|stats.RowsAllocated != 0 {
+				t.Fatalf("%s: bound-row counters must read 0: %+v", label, stats)
+			}
 		}
-		total := stats.CachedSkips + stats.CertifiedSkips + stats.SerialSkips + stats.Kept
-		if total != res.EdgesExamined {
-			t.Fatalf("w=%d: stats don't cover scan: cached %d + certified %d + serial %d + kept %d = %d, examined %d",
-				workers, stats.CachedSkips, stats.CertifiedSkips, stats.SerialSkips, stats.Kept, total, res.EdgesExamined)
-		}
-		if stats.Kept != len(res.Edges) {
-			t.Fatalf("w=%d: Kept = %d, want %d", workers, stats.Kept, len(res.Edges))
-		}
-		if stats.FinalBatchSize == 0 {
-			t.Fatalf("w=%d: implausible stats: %+v", workers, stats)
-		}
-		if workers > 1 && (stats.Batches == 0 || stats.ParallelRefreshes == 0) {
-			t.Fatalf("w=%d: parallel engine did no batched work: %+v", workers, stats)
-		}
+	}
+}
+
+// requireScanIdentity asserts the batched scan's accounting identity:
+// every examined candidate is a hub skip, a certified skip, a serial skip,
+// or a kept edge, and Kept is the spanner size.
+func requireScanIdentity(t *testing.T, label string, stats *ParallelStats, res *Result) {
+	t.Helper()
+	total := stats.HubSkips + stats.CertifiedSkips + stats.SerialSkips + stats.Kept
+	if total != res.EdgesExamined {
+		t.Fatalf("%s: stats don't cover scan: hub %d + certified %d + serial %d + kept %d = %d, examined %d",
+			label, stats.HubSkips, stats.CertifiedSkips, stats.SerialSkips, stats.Kept, total, res.EdgesExamined)
+	}
+	if stats.Kept != len(res.Edges) {
+		t.Fatalf("%s: Kept = %d, want %d", label, stats.Kept, len(res.Edges))
 	}
 }
 

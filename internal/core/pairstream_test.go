@@ -164,10 +164,9 @@ func TestGreedyGraphSupplyParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSparseBoundRowsParallelStats checks the memory-side counters: the
-// sparse store reports how many rows were materialized (at most n, usually
-// far fewer than n for generous stretches) and the streamed supply reports
-// its peak bucket.
+// TestSparseBoundRowsParallelStats checks the memory-side counters of
+// the streamed supply — its peak bucket — and the scan's accounting
+// identity on every metric family.
 func TestSparseBoundRowsParallelStats(t *testing.T) {
 	for name, m := range testMetrics(t) {
 		for _, workers := range []int{1, 4} {
@@ -176,16 +175,11 @@ func TestSparseBoundRowsParallelStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.RowsAllocated <= 0 || stats.RowsAllocated > m.N() {
-				t.Fatalf("%s/w=%d: RowsAllocated = %d out of [1, %d]", name, workers, stats.RowsAllocated, m.N())
-			}
+			label := fmt.Sprintf("%s/w=%d", name, workers)
 			if stats.PeakBucketPairs <= 0 || stats.PeakBucketPairs > res.EdgesExamined {
-				t.Fatalf("%s/w=%d: PeakBucketPairs = %d out of [1, %d]", name, workers, stats.PeakBucketPairs, res.EdgesExamined)
+				t.Fatalf("%s: PeakBucketPairs = %d out of [1, %d]", label, stats.PeakBucketPairs, res.EdgesExamined)
 			}
-			total := stats.CachedSkips + stats.CertifiedSkips + stats.SerialSkips + stats.Kept
-			if total != res.EdgesExamined {
-				t.Fatalf("%s/w=%d: stats don't cover scan: %d vs %d examined", name, workers, total, res.EdgesExamined)
-			}
+			requireScanIdentity(t, label, &stats.ParallelStats, res)
 		}
 	}
 }
@@ -229,6 +223,40 @@ func TestStreamedPairOrderInfiniteWeights(t *testing.T) {
 		}
 		equalResults(t, fmt.Sprintf("inf-weights/w=%d", workers), ref, res)
 	}
+
+	// Two components at +Inf distance, under a byte budget that leaves no
+	// hubs: without hub labels to certify them, the +Inf pairs must still
+	// be skipped as the reference skips them, never accepted.
+	split := splitInfMetric{n: 12}
+	ref, err = GreedyMetricFastSerial(split, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		var st MetricParallelStats
+		res, err := GreedyMetricFastParallelOpts(split, 2, MetricParallelOptions{
+			Workers: workers, Budget: Budget{MaxBytes: 256}, Stats: &st,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.HubQueries != 0 {
+			t.Fatalf("split/w=%d: budget left the oracle on (%q)", workers, st.Degradations)
+		}
+		equalResults(t, fmt.Sprintf("split-inf/w=%d", workers), ref, res)
+	}
+}
+
+// splitInfMetric is two n/2-point path metrics at +Inf distance from
+// each other.
+type splitInfMetric struct{ n int }
+
+func (m splitInfMetric) N() int { return m.n }
+func (m splitInfMetric) Dist(i, j int) float64 {
+	if (i < m.n/2) != (j < m.n/2) {
+		return math.Inf(1)
+	}
+	return math.Abs(float64(i - j))
 }
 
 // TestStreamedPairOrderSeededCounts checks the seeded supply: a source

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -158,8 +159,12 @@ func tieBand(n int) float64 { return float64(n+2) * 0x1p-50 }
 // decision search doing the work. The search runs at limit·(1+band): no
 // path there is a certain no, a path within limit·(1−band) a certain yes,
 // and a found length inside the band is decided again by the reference
-// search itself.
+// search itself. A limit of +Inf (a metric pair at infinite distance) is
+// met by every pair, as GreedyMetricFastSerial's bound test decides it.
 func decideWithin(search *graph.Searcher, h *graph.Graph, u, v int, limit float64) bool {
+	if math.IsInf(limit, 1) {
+		return true
+	}
 	band := tieBand(h.N())
 	d, found := search.BidirDecideWithin(h, u, v, limit*(1+band))
 	if !found || d <= limit*(1-band) {
@@ -205,29 +210,53 @@ func GreedyGraphParallelOpts(g *graph.Graph, t float64, opts ParallelOptions) (*
 	if !validStretch(t) {
 		return nil, errInvalidStretch(t)
 	}
-	n := g.N()
+	return greedyScan(scanInput{
+		n:          g.N(),
+		candidates: g.M(),
+		sorted:     g.SortedEdges,
+		streamed:   func(bucketPairs int) CandidateSource { return NewGraphEdgeSource(g, bucketPairs) },
+		selectHubs: func(k int) []int { return SelectGraphHubs(g, k) },
+	}, t, opts)
+}
+
+// scanInput is what a fresh batched scan needs to know about its input:
+// the vertex and candidate counts, the two default candidate supplies,
+// and the hub selection. A weighted graph and a metric space (the
+// complete graph on its points) differ only here.
+type scanInput struct {
+	n, candidates int
+	// sorted returns every candidate in greedy scan order (the
+	// Materialize supply); streamed returns the weight-bucketed supply.
+	sorted     func() []graph.Edge
+	streamed   func(bucketPairs int) CandidateSource
+	selectHubs func(k int) []int
+}
+
+// greedyScan runs one fresh batched scan of in under opts, the build
+// behind both GreedyGraphParallelOpts and GreedyMetricFastParallelOpts.
+// The byte budget is applied to the supply and the hub count before
+// anything is allocated.
+func greedyScan(in scanInput, t float64, opts ParallelOptions) (*Result, error) {
 	stats := opts.Stats
 	if stats == nil {
 		stats = &ParallelStats{}
 	}
 	*stats = ParallelStats{}
-	env := newScanEnv(opts.Ctx, opts.Budget, opts.Inject, func(step string) {
-		stats.Degradations = append(stats.Degradations, step)
-	})
+	env := newScanEnv(opts.Ctx, opts.Budget, opts.Inject, stats.degradationSink())
 	src := opts.Source
 	if src == nil {
 		materialize, bucketPairs := opts.Materialize, opts.BucketPairs
 		if env != nil {
-			resolveSupplyBudget(opts.Budget, env.record, &materialize, &bucketPairs, g.M())
+			resolveSupplyBudget(opts.Budget, env.record, &materialize, &bucketPairs, in.candidates)
 		}
 		if materialize {
-			src = NewMaterializedSource(g.SortedEdges())
+			src = NewMaterializedSource(in.sorted())
 		} else {
-			src = NewGraphEdgeSource(g, bucketPairs)
+			src = in.streamed(bucketPairs)
 		}
 	}
-	res := &Result{N: n, Stretch: t}
-	h := graph.New(n)
+	res := &Result{N: in.n, Stretch: t}
+	h := graph.New(in.n)
 	sc := &graphScan{
 		t:       t,
 		workers: opts.Workers,
@@ -238,16 +267,17 @@ func GreedyGraphParallelOpts(g *graph.Graph, t float64, opts ParallelOptions) (*
 	}
 	hubs := opts.Hubs
 	if env != nil {
-		resolveHubBudget(opts.Budget, env.record, &hubs, n)
+		resolveHubBudget(opts.Budget, env.record, &hubs, in.n)
 	}
 	if hubs > 0 {
-		sc.oracle = NewHubOracle(SelectGraphHubs(g, hubs), h, 0)
+		sc.oracle = NewHubOracle(in.selectHubs(hubs), h, 0)
 	}
 	return res, sc.run(src, opts.BatchSize)
 }
 
-// graphScan bundles the state of one batched greedy graph scan: the
-// partial spanner and the result being accumulated. A fresh build starts
+// graphScan bundles the state of one batched greedy scan — of a graph's
+// edges or of a metric's point pairs: the partial spanner and the result
+// being accumulated. A fresh build starts
 // it empty; the incremental engine starts it at the preserved prefix of a
 // previous scan and drains only the tail of the candidate stream.
 type graphScan struct {
@@ -329,7 +359,7 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 			stats.SupplyPasses = bs.Passes()
 			res.EdgesExamined += bs.Skipped()
 		}
-		if oracle != nil {
+		if oracle != nil { // else checkBudget recorded it at the drop
 			stats.HubRelaxed = oracle.Relaxed() - relaxed0
 		}
 	}
@@ -356,6 +386,7 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 			env.record(fmt.Sprintf("batch width floored to %d under byte budget", minBatch))
 		case oracle != nil:
 			env.record(fmt.Sprintf("hub oracle (%d hubs) dropped under byte budget", len(oracle.Hubs())))
+			stats.HubRelaxed = oracle.Relaxed() - relaxed0
 			oracle = nil
 		case !env.exhausted:
 			env.exhausted = true
@@ -379,7 +410,7 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 			if cerr := env.cancelled(); cerr != nil {
 				return cerr
 			}
-			env.onBatch(batchNo, nil)
+			env.onBatch(batchNo)
 			edges := src.NextBatch(chunk)
 			if len(edges) == 0 {
 				break
@@ -436,7 +467,7 @@ func (sc *graphScan) run(src CandidateSource, batchSize int) (err error) {
 		if cerr := env.cancelled(); cerr != nil {
 			return cerr
 		}
-		env.onBatch(batchNo, nil)
+		env.onBatch(batchNo)
 		edges := src.NextBatch(batch)
 		if len(edges) == 0 {
 			break

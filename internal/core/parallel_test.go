@@ -107,11 +107,11 @@ func TestGreedyGraphParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestGreedyMetricMatchesGraphEngine cross-checks the two parallel engines:
-// the metric greedy (cached-bound row refreshes) against the batched graph
-// engine run on the metric's complete distance graph (bounded bidirectional
-// searches) — completely disjoint query code paths that must produce the
-// same spanner.
+// TestGreedyMetricMatchesGraphEngine cross-checks the two entry points of
+// the batched scan: the metric greedy (streamed pair supply, ball-growth
+// hubs) against the graph entry run on the metric's complete distance
+// graph (edge supply, no hubs) — different supplies and certification
+// tiers that must produce the same spanner.
 func TestGreedyMetricMatchesGraphEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := metric.MustEuclidean(gen.UniformPoints(rng, 70, 2))

@@ -16,14 +16,14 @@ import (
 // internal/chaos harness drives. The design invariant, shared with the
 // bit-identity guarantees of the batched engines, is:
 //
-//	any fault — cancellation, deadline, worker panic, injected stall,
-//	corrupted bound row — yields either a Result that is a bit-identical
+//	any fault — cancellation, deadline, worker panic, injected stall —
+//	yields either a Result that is a bit-identical
 //	prefix of the serial reference's output together with a typed error,
 //	or the full bit-identical output; never silent divergence and never
 //	a half-applied state.
 //
-// The engines uphold it structurally: state mutations (accepts, bound-row
-// folds, hub relaxations) happen only in serial sections or behind the
+// The engines uphold it structurally: state mutations (accepts, hub
+// relaxations) happen only in serial sections or behind the
 // worker join, cancellation is detected before any decision derived from a
 // possibly-truncated search is committed, and every worker is joined on
 // every exit path, so a cancelled build leaks no goroutines and abandons
@@ -37,22 +37,21 @@ var (
 	// worker or serial engine section; the message carries the panic value
 	// and stack.
 	ErrEnginePanic = errors.New("core: engine panic")
-	// ErrCorruptState is wrapped when a guarded bound row fails its
-	// checksum — the cache no longer matches what was proven, so the
-	// engine refuses to certify from it.
+	// ErrCorruptState is wrapped when imported engine state fails an
+	// integrity check: a snapshot or WAL record whose digest or
+	// invariants do not hold (see ImportIncremental and internal/persist).
 	ErrCorruptState = errors.New("core: corrupt engine state")
 )
 
 // Budget bounds the resources one engine run may consume. The zero value
 // imposes no bounds. Degradation under a budget is graceful and recorded:
 // each step the engine takes down the ladder (materialized → streamed
-// supply, shrink batch width, drop the hub oracle, drop cached bound rows)
-// lands in the stats' Degradations log instead of an OOM kill, and none of
+// supply, shrink batch width, drop the hub oracle) lands in the stats' Degradations log instead of an OOM kill, and none of
 // the steps can change the output — every knob the ladder turns is
 // output-invariant by the engines' bit-identity guarantees.
 type Budget struct {
 	// MaxBytes caps the engine's estimated working-set bytes (candidate
-	// supply + searcher pools + hub arrays + cached bound rows). The
+	// supply + searcher pools + hub arrays). The
 	// estimate is deterministic byte accounting, not allocator telemetry,
 	// so budgeted runs behave identically across runs and platforms.
 	MaxBytes int64
@@ -69,15 +68,6 @@ func (b Budget) active() bool {
 	return b.MaxBytes > 0 || b.MaxBatchWidth > 0 || !b.Deadline.IsZero()
 }
 
-// Corrupter is the handle a fault injector uses to corrupt engine state in
-// a controlled way. FlipRowBit flips one bit of a materialized bound-row
-// entry *without* touching the row's checksum — a simulated memory fault —
-// and reports whether a materialized row was there to corrupt. Engines
-// without corruptible state pass a nil Corrupter to the OnBatch hook.
-type Corrupter interface {
-	FlipRowBit(u, v int, bit uint) bool
-}
-
 // InjectionHooks are the engines' fault-injection points, exposed as
 // options so the internal/chaos harness can inject faults exactly where
 // real ones would land. Zero hooks cost the hot paths nothing.
@@ -88,9 +78,8 @@ type InjectionHooks struct {
 	// stalled certification.
 	OnCertify func(e graph.Edge)
 	// OnBatch runs serially at each batch boundary, before the batch is
-	// pulled, with the 0-based batch index and the engine's Corrupter
-	// (nil when the engine holds no corruptible cache).
-	OnBatch func(batch int, c Corrupter)
+	// pulled, with the 0-based batch index.
+	OnBatch func(batch int)
 	// OnRebase runs serially inside a graph-mode IncrementalSpanner.Flush,
 	// after the replay's keep prefix is decided but before the hub oracle
 	// rebases onto it — the window where rebase faults (panic, stall,
@@ -198,9 +187,9 @@ func (e *scanEnv) clampBatch(batch int) int {
 }
 
 // onBatch fires the batch-boundary injection hook.
-func (e *scanEnv) onBatch(batch int, c Corrupter) {
+func (e *scanEnv) onBatch(batch int) {
 	if e != nil && e.hooks.OnBatch != nil {
-		e.hooks.OnBatch(batch, c)
+		e.hooks.OnBatch(batch)
 	}
 }
 
@@ -215,10 +204,6 @@ func (e *scanEnv) onCertify(edge graph.Edge) {
 // degradationSink returns the record callback newScanEnv and the budget
 // resolvers append degradation-ladder steps to.
 func (st *ParallelStats) degradationSink() func(string) {
-	return func(step string) { st.Degradations = append(st.Degradations, step) }
-}
-
-func (st *MetricParallelStats) degradationSink() func(string) {
 	return func(step string) { st.Degradations = append(st.Degradations, step) }
 }
 
@@ -267,7 +252,6 @@ const (
 	// touched lists.
 	searcherBytesPerVertex = 56
 	hubBytesPerVertex      = 8 // one float64 distance entry per hub per vertex
-	boundRowBytesPerVertex = 2 // one bfloat16 entry
 )
 
 func searcherPoolBytes(workers, n int) int64 {

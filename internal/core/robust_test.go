@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,6 +211,32 @@ func TestBudgetDegradationLadder(t *testing.T) {
 		t.Fatalf("graph: 16KiB budget recorded no degradation steps")
 	}
 	assertSameResult(t, gref, gres)
+
+	// The 16KiB budget admits the hub oracle at the start and drops it
+	// during the scan: the upkeep the oracle did before the drop must
+	// still be reported in HubRelaxed.
+	requireMidScanDrop(t, "metric", &stats.ParallelStats)
+	requireMidScanDrop(t, "graph", &gstats)
+}
+
+// requireMidScanDrop asserts that a budgeted scan kept its hub count at
+// the start, dropped the oracle during the scan, and still reports the
+// oracle's upkeep up to the drop.
+func requireMidScanDrop(t *testing.T, label string, st *ParallelStats) {
+	t.Helper()
+	dropped := false
+	for _, step := range st.Degradations {
+		if strings.HasPrefix(step, "hubs: count dropped") {
+			t.Fatalf("%s: budget shrank the hub count before the scan: %q", label, st.Degradations)
+		}
+		dropped = dropped || strings.HasPrefix(step, "hub oracle")
+	}
+	if !dropped {
+		t.Fatalf("%s: oracle not dropped mid-scan: %q", label, st.Degradations)
+	}
+	if st.HubRelaxed == 0 {
+		t.Fatalf("%s: HubRelaxed = 0 after a mid-scan oracle drop (HubQueries %d)", label, st.HubQueries)
+	}
 }
 
 // TestBudgetMaxBatchWidth: the batch-width cap is honored and output is
@@ -278,47 +305,6 @@ func TestPanicBecomesTypedError(t *testing.T) {
 	}
 }
 
-// TestGuardRowsChecksum exercises the boundStore guard directly: a bit
-// flip that bypasses the store is caught by verifyRow, verifyPair,
-// foldRow, and set, and none of them launders it into a fresh digest.
-func TestGuardRowsChecksum(t *testing.T) {
-	b := newBoundStore(6)
-	b.setGuard()
-	dist := []float64{0, 1, 2, 3, 4, 5}
-	if err := b.foldRow(0, dist); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.verifyRow(0); err != nil {
-		t.Fatal(err)
-	}
-	if !(rowCorrupter{b}).FlipRowBit(0, 3, 2) {
-		t.Fatal("FlipRowBit missed a materialized row")
-	}
-	if err := b.verifyRow(0); !errors.Is(err, ErrCorruptState) {
-		t.Fatalf("verifyRow after flip: %v", err)
-	}
-	if err := b.verifyPair(3, 0); !errors.Is(err, ErrCorruptState) {
-		t.Fatalf("verifyPair after flip: %v", err)
-	}
-	if err := b.foldRow(0, dist); !errors.Is(err, ErrCorruptState) {
-		t.Fatalf("foldRow must verify before folding: %v", err)
-	}
-	if err := b.set(0, 2, 0.5); !errors.Is(err, ErrCorruptState) {
-		t.Fatalf("set must verify before writing: %v", err)
-	}
-	// The rejected writes did not re-digest the damaged row, and a healthy
-	// row is unaffected.
-	if err := b.verifyRow(0); !errors.Is(err, ErrCorruptState) {
-		t.Fatalf("corruption laundered by a rejected write: %v", err)
-	}
-	if err := b.foldRow(1, dist); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.verifyRow(1); err != nil {
-		t.Fatalf("healthy row fails its checksum: %v", err)
-	}
-}
-
 // TestCancelledFlushPreservesPendingState is the incremental engine's
 // atomicity regression: a flush aborted by cancellation leaves the
 // maintained result, metric, and pending tally untouched, and the same
@@ -347,7 +333,7 @@ func TestCancelledFlushPreservesPendingState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inc, err := NewIncrementalMetric(base, 1.8, MetricParallelOptions{Workers: 2, Hubs: 3, GuardRows: true})
+	inc, err := NewIncrementalMetric(base, 1.8, MetricParallelOptions{Workers: 2, Hubs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,8 +421,8 @@ func TestCancelDrainsWorkerPools(t *testing.T) {
 
 // TestFlushRetryConverges is the mixed-batch convergence regression: a
 // coalesced insert+delete batch whose flush aborts repeatedly — first
-// before any replay work, then mid-replay after bound rows and hub state
-// advanced past the keep prefix — still converges. Every aborted attempt
+// before any replay work, then mid-rebuild after the scan and its hub
+// state advanced — still converges. Every aborted attempt
 // preserves the pending tally and the pre-flush result bit-for-bit, and
 // the first successful retry produces the from-scratch build on the net
 // survivors, no matter how many failed attempts preceded it.
@@ -479,7 +465,7 @@ func TestFlushRetryConverges(t *testing.T) {
 		}
 	}}
 	inc, err := NewIncrementalMetric(base, 1.7, MetricParallelOptions{
-		Workers: 3, Hubs: 3, GuardRows: true, Inject: hooks,
+		Workers: 3, Hubs: 3, Inject: hooks,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,13 +52,13 @@ func driveMetric(t *testing.T, inc *IncrementalSpanner, uni metric.Metric, alive
 // imports it, and drives both through an identical further op stream:
 // every quiesce point must be digest-identical, across the trace
 // universes (tie-heavy Euclidean, random Euclidean, +Inf matrix) and an
-// option matrix covering hubs and guarded rows.
+// option matrix covering worker and hub counts.
 func TestStateRoundTripMetric(t *testing.T) {
 	for kind := 0; kind < 3; kind++ {
 		for ci, opts := range []MetricParallelOptions{
 			{Workers: 1},
 			{Workers: 2, Hubs: 4},
-			{Workers: 1, Hubs: 3, GuardRows: true},
+			{Workers: 1, Hubs: 3},
 		} {
 			label := fmt.Sprintf("kind%d/opts%d", kind, ci)
 			uni := traceMetric(kind)

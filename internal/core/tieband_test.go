@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/metric"
 )
 
 // tieGraphs builds the families whose greedy decisions tie: integer
@@ -76,7 +78,8 @@ func referenceTies(g *graph.Graph, t float64) (exact, near int) {
 // tie-heavy inputs across worker counts and with and without hubs: every
 // fast primitive (hub upper and lower bounds, the decision search)
 // leaves near-tie decisions to the one-sided reference, so exact and
-// near-ulp ties decide as the serial scan does.
+// near-ulp ties decide as the serial scan does. The families' shortest-
+// path metrics are held to GreedyMetricFastSerial the same way.
 func TestGreedyGraphParallelTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	exactTies, nearTies := 0, 0
@@ -109,6 +112,31 @@ func TestGreedyGraphParallelTies(t *testing.T) {
 	// proves nothing.
 	if exactTies == 0 || nearTies == 0 {
 		t.Fatalf("tie families hold %d exact and %d near-ulp ties; want both > 0", exactTies, nearTies)
+	}
+
+	// The same families as metrics: the shortest-path metric of a
+	// tie-heavy graph carries its ties to every pair, and the metric scan
+	// must decide them as the serial cached-bound reference does.
+	for name, g := range tieGraphs(rand.New(rand.NewSource(23))) {
+		m, err := metric.FromGraph(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stretch := range []float64{1.5, 2, 3} {
+			ref, err := GreedyMetricFastSerial(m, stretch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, hubs := range []int{0, DefaultHubs(m.N())} {
+					got, err := GreedyMetricFastParallelOpts(m, stretch, MetricParallelOptions{Workers: workers, Hubs: hubs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					equalResults(t, fmt.Sprintf("metric-%s/t=%v/w=%d/hubs=%d", name, stretch, workers, hubs), ref, got)
+				}
+			}
+		}
 	}
 }
 

@@ -233,7 +233,7 @@ func runTrace(t testing.TB, kind, init int, ops []traceOp, opts MetricParallelOp
 var traceOptsMatrix = []MetricParallelOptions{
 	{Workers: 1},
 	{Workers: 1, Hubs: 4},
-	{Workers: 3, Hubs: 0, GuardRows: true},
+	{Workers: 3, Hubs: 0},
 	{Workers: 3, Hubs: 4},
 }
 
@@ -379,7 +379,7 @@ func TestGoldenTraces(t *testing.T) {
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			kind, init, ops, expect, hasExpect := parseTraceScript(t, path)
 			a := runTrace(t, kind, init, ops, MetricParallelOptions{Workers: 1}, "w1")
-			b := runTrace(t, kind, init, ops, MetricParallelOptions{Workers: 3, Hubs: 4, GuardRows: true}, "w3h4")
+			b := runTrace(t, kind, init, ops, MetricParallelOptions{Workers: 3, Hubs: 4}, "w3h4")
 			if a != b {
 				t.Fatalf("digest mismatch across engines: %x vs %x", a, b)
 			}

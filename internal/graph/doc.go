@@ -17,9 +17,8 @@
 // endpoints at once — two balls of radius ~limit/2 instead of one of radius
 // limit — and serves exact distance reads; BidirDecideWithin is the same
 // search stopped at the first path within the limit, the certification
-// primitive of the batched-parallel graph engine; its Distances fills a
-// caller-owned row and backs the concurrent bound-matrix refreshes of the
-// metric engine. A Searcher is not safe for
+// primitive of the batched-parallel greedy scan; its Distances fills a
+// caller-owned row for single-source sweeps. A Searcher is not safe for
 // concurrent use: parallel callers hold one Searcher per worker (the graph
 // being queried may be shared read-only).
 package graph

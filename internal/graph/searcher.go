@@ -16,9 +16,6 @@ type Searcher struct {
 	// masked is the vertex-failure mark buffer of the masked searches,
 	// allocated on first use and cleared after every call.
 	masked []bool
-	// lastTouched is the vertex count of the most recent single-source
-	// sweep; see LastTouched.
-	lastTouched int
 	// stop is the cooperative cancellation predicate installed by SetStop,
 	// propagated to the bidirectional scratch when that is allocated.
 	stop func() bool
@@ -213,7 +210,6 @@ func (s *Searcher) BoundedDistancesMasked(g *Graph, src int, limit float64, dead
 // filling dst (length n) with the result. Unreachable vertices get Inf.
 func (s *Searcher) Distances(g *Graph, src int, dst []float64) {
 	g.dijkstra(src, -1, Inf, s.scratch)
-	s.lastTouched = len(s.scratch.touched)
 	copy(dst, s.scratch.dist)
 	s.scratch.reset()
 }
@@ -222,13 +218,6 @@ func (s *Searcher) Distances(g *Graph, src int, dst []float64) {
 // keep Inf.
 func (s *Searcher) BoundedDistances(g *Graph, src int, limit float64, dst []float64) {
 	g.dijkstra(src, -1, limit, s.scratch)
-	s.lastTouched = len(s.scratch.touched)
 	copy(dst, s.scratch.dist)
 	s.scratch.reset()
 }
-
-// LastTouched reports how many vertices the most recent Distances or
-// BoundedDistances call reached — the search's actual work, which the
-// engine benchmarks aggregate to compare full-row refreshes against the
-// bounded refreshes of the hub-label fast path.
-func (s *Searcher) LastTouched() int { return s.lastTouched }

@@ -9,8 +9,7 @@
 // A Metric is simply N() points with a symmetric positive Dist; every
 // construction in this repository consumes metrics through that interface,
 // so Euclidean, matrix-backed, and graph-induced spaces are
-// interchangeable — the equivalence tests for the parallel cached-bound
-// metric engine sweep all three. CompleteGraph materializes a metric as the
+// interchangeable — the metric equivalence tests sweep all three. CompleteGraph materializes a metric as the
 // complete weighted graph the greedy algorithm scans; FromSpanner builds
 // the M_H of Section 4, the metric of a spanner itself, on which the
 // paper's existential-optimality argument is made.

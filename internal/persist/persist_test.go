@@ -145,7 +145,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		st   *core.SpannerState
 	}{
 		{"euclid", buildMetricState(t, true, core.MetricParallelOptions{Workers: 1, Hubs: 3})},
-		{"matrix", buildMetricState(t, false, core.MetricParallelOptions{Workers: 1, GuardRows: true})},
+		{"matrix", buildMetricState(t, false, core.MetricParallelOptions{Workers: 1})},
 		{"graph", buildGraphState(t, core.ParallelOptions{Workers: 1, Hubs: 3})},
 	}
 	for _, tc := range cases {

@@ -34,7 +34,7 @@ func recoverLongWal(t *testing.T, euclid, eagerEnd bool) {
 	var builds atomic.Int64
 	mopts := core.MetricParallelOptions{Workers: 2, Hubs: 3}
 	counted := mopts
-	counted.Inject = core.InjectionHooks{OnBatch: func(batch int, _ core.Corrupter) {
+	counted.Inject = core.InjectionHooks{OnBatch: func(batch int) {
 		if batch == 0 {
 			builds.Add(1)
 		}

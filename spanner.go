@@ -8,24 +8,22 @@
 //     GreedyMetricParallel — Algorithm 1 of the paper: the greedy
 //     t-spanner for weighted graphs and finite metric spaces,
 //     existentially optimal in size and lightness (Theorems 4 and 5).
-//     Both engines share the batched-certification architecture: sorted
-//     candidates are scanned in adaptive batches, skips are certified
-//     concurrently against a frozen spanner snapshot (bounded
-//     bidirectional Dijkstra on graphs; cached bound-row refreshes on
-//     metrics), and the survivors are re-checked serially in greedy
-//     order — so parallel output is deterministic and bit-identical to
-//     the sequential scan while construction runs across all cores.
-//     Candidates are streamed from a weight-bucketed CandidateSource
-//     (grid-bucketed on Euclidean metrics) and metric distance bounds
-//     live in sparse rows allocated on first refresh, so memory scales
-//     with the active weight bucket and the spanner's working set
-//     instead of the Θ(n²) materialize-then-sort pipeline; see
+//     Graphs and metrics (the complete graph on their points) run one
+//     batched scan: sorted candidates are scanned in adaptive batches,
+//     skips are certified concurrently against a frozen spanner snapshot
+//     with bounded bidirectional Dijkstra, and the survivors are
+//     re-checked serially in greedy order — so parallel output is
+//     deterministic and bit-identical to the sequential scan while
+//     construction runs across all cores. Candidates are streamed from a
+//     weight-bucketed CandidateSource (grid-bucketed on Euclidean
+//     metrics), so memory scales with the active weight bucket instead of
+//     the Θ(n²) materialize-then-sort pipeline; see
 //     GreedyMetricParallelOpts and GreedyParallelOpts for the knobs.
-//     The Hubs option adds the hub-label certification fast path:
-//     maintained landmark distance arrays over the growing spanner
-//     answer most skip certifications in O(k) with no search at all —
-//     hub bounds are upper bounds, so output stays bit-identical with
-//     hubs on or off.
+//     The Hubs option adds the hub-label certification fast path
+//     (always on for metrics): maintained landmark distance arrays over
+//     the growing spanner answer most certifications in O(k) with no
+//     search at all — hub decisions are exact-equivalent, so output
+//     stays bit-identical for every hub count.
 //   - NewIncremental / NewIncrementalGraph — the fully dynamic
 //     maintained greedy spanner: point insertions and deletions
 //     (metrics) and edge insertions and deletions (graphs) after the
@@ -85,8 +83,8 @@ type Result = core.Result
 // Budget re-exports the engines' resource budget: a byte cap on the
 // estimated working set, a batch-width cap, and a deadline. Budgeted runs
 // degrade gracefully down an output-invariant ladder (materialized →
-// streamed supply, shrink batch width, drop the hub oracle, drop cached
-// bound rows), recording each step in the stats' Degradations log.
+// streamed supply, shrink batch width, drop the hub oracle), recording
+// each step in the stats' Degradations log.
 type Budget = core.Budget
 
 // Typed failure sentinels, matched with errors.Is. Every engine error
@@ -105,10 +103,9 @@ var (
 	// worker or serial engine section was captured and converted into an
 	// error instead of crashing the process.
 	ErrEnginePanic = core.ErrEnginePanic
-	// ErrCorruptState is wrapped when a guarded bound row fails its
-	// checksum (see MetricParallelOptions.GuardRows) and when a snapshot
-	// or write-ahead-log record fails its digest or structural checks
-	// during Load or OpenDurable recovery.
+	// ErrCorruptState is wrapped when a snapshot or write-ahead-log
+	// record fails its digest or structural checks during Load or
+	// OpenDurable recovery.
 	ErrCorruptState = core.ErrCorruptState
 	// ErrUnsupportedVersion is wrapped when a snapshot declares a format
 	// version this build does not know; the file is well-formed, just
@@ -142,16 +139,15 @@ type ParallelOptions = core.ParallelOptions
 type ParallelStats = core.ParallelStats
 
 // MetricParallelOptions re-exports the metric engine's tuning knobs
-// (workers, batch width, candidate supply, bucket cap, stats) plus the
-// robustness controls (Ctx, Budget, Inject) and GuardRows, which arms
-// per-row checksums over the cached bound rows so a corrupted entry
-// surfaces as ErrCorruptState instead of silently certifying a wrong
-// skip.
+// (workers, batch width, candidate supply, bucket cap, hub count, stats)
+// plus the robustness controls (Ctx, Budget, Inject). Unlike the graph
+// engine, Hubs <= 0 selects DefaultHubs(n): the hub labels are what
+// certify most of the n(n-1)/2 pairs.
 type MetricParallelOptions = core.MetricParallelOptions
 
-// MetricParallelStats re-exports the metric engine's counters, including
-// the sparse bound-row and streamed-supply memory figures and the
-// hub-label fast path's hit counters.
+// MetricParallelStats re-exports the metric engine's counters: the graph
+// engine's ParallelStats (the metric scan is the graph scan), plus five
+// bound-row counters kept for compatibility that always read 0.
 type MetricParallelStats = core.MetricParallelStats
 
 // IncrementalPolicy re-exports the maintained spanner's batching policy:
@@ -224,28 +220,25 @@ func GreedyParallelOpts(g *Graph, t float64, opts ParallelOptions) (*Result, err
 
 // GreedyMetric computes the greedy t-spanner of a finite metric space by
 // examining all pairwise distances ("path-greedy"). It is routed through
-// the batched cached-bound metric engine (GreedyMetricParallel with
-// GOMAXPROCS workers); the output is the same deterministic spanner the
-// sequential scan produces.
+// the batched scan (GreedyMetricParallel with GOMAXPROCS workers); the
+// output is the same deterministic spanner the sequential scan produces.
 func GreedyMetric(m Metric, t float64) (*Result, error) { return core.GreedyMetric(m, t) }
 
-// GreedyMetricFast is GreedyMetric with cached distance bounds in the
-// spirit of Bose et al. [BCF+10]: a matrix of upper bounds on spanner
-// distances certifies most skips without any search, and a row is
-// recomputed only when its cached bound fails. It too is routed through
-// the batched-parallel metric engine and returns the identical spanner
-// with near-quadratic practical running time.
+// GreedyMetricFast is GreedyMetric under its historical name (the cached
+// distance bounds of Bose et al. [BCF+10] now live only in the serial
+// reference). It too is routed through the batched scan and returns the
+// identical spanner.
 func GreedyMetricFast(m Metric, t float64) (*Result, error) { return core.GreedyMetricFast(m, t) }
 
 // GreedyMetricParallel computes the same spanner as GreedyMetric and
 // GreedyMetricFast — identical edge sequence, weight, and counters — with
 // explicit control over the worker count (0 selects GOMAXPROCS). The
 // engine pulls the pairs in scan order from the streamed weight-bucketed
-// supply and examines them in adaptive batches: cached bounds certify
-// most skips outright, the remaining sparse bound rows are refreshed
-// concurrently against a frozen snapshot of the growing spanner (valid
-// because cached upper bounds only tighten as edges are added), and only
-// the uncertified pairs are re-examined serially in exact greedy order.
+// supply and examines them in adaptive batches: hub labels certify most
+// skips outright, the remaining pairs are searched concurrently against a
+// frozen snapshot of the growing spanner (valid because spanner distances
+// only shrink as edges are added), and only the uncertified pairs are
+// re-examined serially in exact greedy order.
 func GreedyMetricParallel(m Metric, t float64, workers int) (*Result, error) {
 	return core.GreedyMetricFastParallel(m, t, workers)
 }
@@ -254,9 +247,8 @@ func GreedyMetricParallel(m Metric, t float64, workers int) (*Result, error) {
 // and candidate-supply controls. By default the engine streams the
 // n(n-1)/2 candidate pairs from a weight-bucketed supply (grid-bucketed on
 // Euclidean metrics, so a bucket is produced without touching farther
-// pairs at all) and keeps distance bounds in sparse rows allocated on
-// first refresh — memory scales with the spanner's working set, not with
-// n^2. Set Materialize to force the classic materialize-then-sort supply,
+// pairs at all), so memory scales with the active bucket and the
+// spanner, not with n^2. Set Materialize to force the classic materialize-then-sort supply,
 // BucketPairs to cap the streamed supply's resident bucket, or Source to
 // plug in a custom supply. Output is bit-identical in every mode.
 func GreedyMetricParallelOpts(m Metric, t float64, opts MetricParallelOptions) (*Result, error) {
@@ -338,8 +330,7 @@ func Save(s *Incremental, path string) error {
 }
 
 // Load reads a snapshot written by Save and reconstructs the maintained
-// spanner: same result, same counters, same cached certification state,
-// ready for further insertions and deletions. workers selects the replay
+// spanner: same result and counters, ready for further insertions and deletions. workers selects the replay
 // engine's concurrency (0 = GOMAXPROCS). A snapshot from a newer format
 // version fails with ErrUnsupportedVersion; any digest or structural
 // failure with ErrCorruptState.
