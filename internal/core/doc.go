@@ -86,8 +86,8 @@
 // between repairs the arrays are distances on a sub-spanner — still valid
 // upper bounds. Across graph-mode incremental replays the
 // arrays are rebased: synced to a preserved prefix they survive and repair
-// forward; synced past the cut they restore a checkpoint or are refreshed
-// in place.
+// forward; synced past the cut they are refreshed whole by one bounded
+// Dijkstra per hub.
 //
 // # Near ties
 //
@@ -130,9 +130,10 @@
 // are stamped with the accepted-edge prefix they are synced to: arrays at
 // or below the cut are distances on a subgraph of every partial spanner
 // the replay builds — adding edges only shrinks distances, so they can
-// only overestimate — and repair forward; arrays past the cut restore the
-// newest digest-verified checkpoint at or below it (a checkpoint whose
-// digest fails is dropped, never restored) or are refreshed whole.
+// only overestimate — and repair forward by relaxing just the preserved
+// edges they have not seen; arrays past the cut are refreshed whole by one
+// bounded Dijkstra per hub. Keeping periodic snapshots of the arrays to
+// restore below a cut was measured and bought nothing over the refresh.
 //
 // # Cancellation, budgets, and the fault-containment invariant
 //

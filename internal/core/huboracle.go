@@ -50,9 +50,8 @@ import (
 // arrays synced to an accepted-edge prefix the replay preserves stay valid
 // (distances on a subgraph of every replay spanner only overestimate) and
 // are repaired by relaxing the preserved edges they have not seen; arrays
-// synced past the preserved prefix restore the newest digest-verified
-// checkpoint at or below it, or are refreshed whole by one Dijkstra per
-// hub at the next sync.
+// synced past the preserved prefix are refreshed whole by one bounded
+// Dijkstra per hub at the next sync.
 //
 // A HubOracle is not safe for concurrent use; the engines consult it only
 // from their serial sections.
@@ -79,20 +78,9 @@ type HubOracle struct {
 	// to certify long runs of them, making the common case O(1) in k.
 	lastHit int
 
-	// ckpts is the checkpoint ring (EnableCheckpoints): up to
-	// maxHubCheckpoints digest-guarded snapshots of all rows at ascending
-	// epochs. A backward rebase restores the newest snapshot at or below
-	// the keep prefix and repairs forward from it instead of refreshing
-	// every row whole. ckptEvery is the accepted-edge snapshot interval
-	// (0 = off), nextCkpt the epoch that triggers the next snapshot.
-	ckpts     []hubCheckpoint
-	ckptEvery int
-	nextCkpt  int
-
-	// Maintenance counters for benchmarks (query counters live in the
-	// engine stats, which are zeroed per build or insertion).
-	relaxed   int
-	refreshes int
+	// relaxed is the maintenance counter for benchmarks (query counters
+	// live in the engine stats, which are zeroed per build or insertion).
+	relaxed int
 }
 
 // NewHubOracle returns an oracle over the given hub vertices, attached to
@@ -116,124 +104,12 @@ func NewHubOracle(hubs []int, h *graph.Graph, slack int) *HubOracle {
 	return o
 }
 
-// hubCheckpoint is one epoch snapshot of every hub array, with per-row
-// FNV-1a digests verified at restore time.
-type hubCheckpoint struct {
-	epoch int
-	rows  [][]float64
-	sums  []uint64
-}
-
-// maxHubCheckpoints bounds the checkpoint ring; older snapshots are
-// evicted first.
-const maxHubCheckpoints = 3
-
-// sumFloatRow is the deterministic FNV-1a digest of one hub array.
-func sumFloatRow(row []float64) uint64 {
-	h := uint64(1469598103934665603)
-	for _, x := range row {
-		h ^= math.Float64bits(x)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// EnableCheckpoints arms the epoch snapshot ring with the given
-// accepted-edge interval. Only the incremental engine enables this;
-// one-shot builds never rebase backward and skip the copies entirely.
-func (o *HubOracle) EnableCheckpoints(every int) {
-	if every <= 0 {
-		o.ckptEvery = 0
-		o.ckpts = nil
-		return
-	}
-	o.ckptEvery = every
-	o.nextCkpt = every
-	o.ckpts = o.ckpts[:0]
-}
-
-// maybeCheckpoint snapshots all rows right after a sync brought them
-// exact at o.epoch, whenever the epoch crossed the snapshot interval.
-func (o *HubOracle) maybeCheckpoint() {
-	if o.ckptEvery <= 0 || o.epoch < o.nextCkpt {
-		return
-	}
-	for o.nextCkpt <= o.epoch {
-		o.nextCkpt += o.ckptEvery
-	}
-	if len(o.ckpts) > 0 && o.ckpts[len(o.ckpts)-1].epoch == o.epoch {
-		return
-	}
-	ck := hubCheckpoint{epoch: o.epoch, rows: make([][]float64, len(o.rows)), sums: make([]uint64, len(o.rows))}
-	for i, row := range o.rows {
-		c := append([]float64(nil), row...)
-		ck.rows[i] = c
-		ck.sums[i] = sumFloatRow(c)
-	}
-	o.ckpts = append(o.ckpts, ck)
-	if len(o.ckpts) > maxHubCheckpoints {
-		copy(o.ckpts, o.ckpts[len(o.ckpts)-maxHubCheckpoints:])
-		o.ckpts = o.ckpts[:maxHubCheckpoints]
-	}
-}
-
-// restoreCheckpoint restores the newest snapshot with epoch <= keep and
-// reports whether it did. Every candidate's row digests are verified
-// first; a snapshot failing them is dropped on the spot — corruption in a
-// checkpoint degrades to "no checkpoint", it is never restored. Restored
-// rows are exact at the snapshot epoch.
-func (o *HubOracle) restoreCheckpoint(keep int) bool {
-	for len(o.ckpts) > 0 {
-		ck := o.ckpts[len(o.ckpts)-1]
-		if ck.epoch > keep {
-			o.ckpts = o.ckpts[:len(o.ckpts)-1]
-			continue
-		}
-		valid := true
-		for i := range ck.rows {
-			if sumFloatRow(ck.rows[i]) != ck.sums[i] {
-				valid = false
-				break
-			}
-		}
-		if !valid {
-			o.ckpts = o.ckpts[:len(o.ckpts)-1]
-			continue
-		}
-		for i := range o.rows {
-			row, data := o.rows[i], ck.rows[i]
-			copy(row[:len(data)], data)
-			for v := len(data); v < len(row); v++ {
-				row[v] = graph.Inf
-			}
-		}
-		o.epoch = ck.epoch
-		o.stale = false
-		return true
-	}
-	return false
-}
-
-// pruneCheckpoints drops snapshots proven past the keep prefix: their
-// epochs lie on the timeline the rebase is discarding.
-func (o *HubOracle) pruneCheckpoints(keep int) {
-	kept := o.ckpts[:0]
-	for _, ck := range o.ckpts {
-		if ck.epoch <= keep {
-			kept = append(kept, ck)
-		}
-	}
-	o.ckpts = kept
-}
-
 // Hubs returns the oracle's hub vertices (read-only).
 func (o *HubOracle) Hubs() []int { return o.hubs }
 
 // Relaxed reports the total number of hub-array entries improved by the
-// dirty-radius maintenance, and Refreshes the number of full per-hub
-// Dijkstra refreshes (rebase repairs only; a one-shot build performs none).
-func (o *HubOracle) Relaxed() int   { return o.relaxed }
-func (o *HubOracle) Refreshes() int { return o.refreshes }
+// dirty-radius maintenance.
+func (o *HubOracle) Relaxed() int { return o.relaxed }
 
 // OnAccept queues an accepted spanner edge for lazy maintenance. The
 // caller must have already added the edge to the attached spanner.
@@ -251,7 +127,6 @@ func (o *HubOracle) sync() {
 	case o.stale:
 		for i, hub := range o.hubs {
 			o.search.BoundedDistances(o.h, hub, graph.Inf, o.rows[i])
-			o.refreshes++
 		}
 		o.stale = false
 	case len(o.pending) == 0:
@@ -265,7 +140,6 @@ func (o *HubOracle) sync() {
 	}
 	o.epoch = o.live
 	o.pending = o.pending[:0]
-	o.maybeCheckpoint()
 }
 
 // Certify reports whether the hub labels prove delta_H(u, v) <= limit on
@@ -367,42 +241,24 @@ next:
 // Rebase carries the oracle across a graph-mode incremental replay that
 // restarts from the first keep accepted edges of the previous scan
 // (accepted, in acceptance order), with h the replay's starting spanner
-// over the same vertex set. Rows synced to a prefix of the preserved edges
-// stay valid and queue the preserved edges they have not seen for
-// dirty-radius repair; rows synced past the cut restore a checkpoint at or
-// below it or are refreshed in place at the next sync.
+// over the same vertex set. It has two outcomes. Rows synced to a prefix
+// of the preserved edges stay valid upper bounds and queue the preserved
+// edges they have not seen, accepted[epoch:keep], for dirty-radius repair;
+// the replay's own accepts follow through OnAccept, and sync advances
+// epoch to the live count only after relaxing them all. Rows synced past
+// the cut hold distances over the discarded suffix, which could undercut
+// the restart spanner's, so they are marked stale — as are rows still
+// stale from an earlier rebase that never synced — and the next sync
+// refreshes each one whole by one bounded Dijkstra on the live spanner.
 func (o *HubOracle) Rebase(keep int, accepted []graph.Edge, h *graph.Graph) {
 	o.h = h
 	o.pending = o.pending[:0]
 	o.live = keep
-	o.pruneCheckpoints(keep)
-	switch {
-	case o.epoch > keep:
-		// Arrays synced past the cut: distances on the discarded suffix
-		// could undercut the restart spanner's. A checkpoint at or below
-		// the cut restores exact prefix rows and repairs forward like the
-		// in-prefix case; with none, refresh whole at the next sync
-		// (epoch then resets to the live count).
-		if o.restoreCheckpoint(keep) {
-			o.pending = append(o.pending, accepted[o.epoch:keep]...)
-		} else {
-			o.stale = true
-		}
-	case o.stale:
-		// Still stale from an earlier rebase that never synced; a
-		// surviving checkpoint below the cut beats the full refresh,
-		// otherwise the refresh at the next sync covers the restart
-		// spanner as well.
-		if o.restoreCheckpoint(keep) {
-			o.pending = append(o.pending, accepted[o.epoch:keep]...)
-		}
-	default:
-		// Repair path: the preserved edges the rows have not seen yet are
-		// exactly accepted[epoch:keep]; the replay's own accepts follow
-		// through OnAccept, and sync advances epoch to the live count
-		// only after relaxing them all.
-		o.pending = append(o.pending, accepted[o.epoch:keep]...)
+	if o.stale || o.epoch > keep {
+		o.stale = true
+		return
 	}
+	o.pending = append(o.pending, accepted[o.epoch:keep]...)
 }
 
 // DefaultHubs suggests a hub count for an n-element instance: enough

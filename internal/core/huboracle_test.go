@@ -109,10 +109,14 @@ func TestHubOracleBoundsAtEveryScanPosition(t *testing.T) {
 }
 
 // TestHubOracleRebaseAcrossInsertions drives a maintained graph spanner
-// through edge insertion batches — each rebases the hub oracle onto the
-// preserved prefix — and asserts the oracle invariant after every batch:
-// surviving rows were repaired, stale rows restored or refreshed, and
-// everything is exact on the maintained spanner.
+// through edge insertion batches, and between them through the other
+// updates that rebase the hub oracle: deleting an accepted edge (a cut
+// below the synced rows, so Rebase marks them stale and the next sync
+// refreshes them), deleting a rejected edge (a cut past the scan, so
+// Rebase queues nothing and the replay is pure accounting), and an
+// ExportState/ImportIncremental round trip (the imported oracle carries
+// on from there). After every flush the rows must be exact on the
+// maintained spanner and the result bit-identical to a from-scratch build.
 func TestHubOracleRebaseAcrossInsertions(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := gen.ErdosRenyi(rng, 40, 0.25, 0.5, 10)
@@ -120,11 +124,40 @@ func TestHubOracleRebaseAcrossInsertions(t *testing.T) {
 	held := edges[len(edges)-21:]
 	base := g.Subgraph(edges[:len(edges)-21])
 	for _, batch := range []int{1, 3, 7} {
-		inc, err := NewIncrementalGraph(base, 2, ParallelOptions{Workers: 1, Hubs: 4})
+		// The probe reads the oracle at the replay's first batch boundary,
+		// after Rebase and before any sync.
+		var inc *IncrementalSpanner
+		var staleAtReplay bool
+		queuedAtReplay := -1
+		opts := ParallelOptions{Workers: 1, Hubs: 4, Inject: InjectionHooks{OnBatch: func(b int) {
+			if b == 0 && inc != nil {
+				staleAtReplay, queuedAtReplay = inc.oracle.stale, len(inc.oracle.pending)
+			}
+		}}}
+		inc, err := NewIncrementalGraph(base, 2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		grown := base.Clone()
+		check := func() {
+			t.Helper()
+			checkOracleBounds(t, inc.oracle, mustResult(t, inc).Graph())
+			want, err := GreedyGraph(grown, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, want, mustResult(t, inc))
+		}
+		deleteEdge := func(e graph.Edge) {
+			t.Helper()
+			staleAtReplay, queuedAtReplay = false, -1
+			if err := inc.DeleteEdges(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := grown.RemoveEdge(e.U, e.V, e.W); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for k := 0; k < len(held); k += batch {
 			hi := min(k+batch, len(held))
 			if err := inc.InsertEdges(held[k:hi]...); err != nil {
@@ -133,12 +166,46 @@ func TestHubOracleRebaseAcrossInsertions(t *testing.T) {
 			for _, e := range held[k:hi] {
 				grown.MustAddEdge(e.U, e.V, e.W)
 			}
-			checkOracleBounds(t, inc.oracle, mustResult(t, inc).Graph())
-			want, err := GreedyGraph(grown, 2)
+			check()
+
+			// check synced the rows to every accepted edge, so cutting at
+			// the middle one lands below them.
+			accepted := mustResult(t, inc).Edges
+			deleteEdge(accepted[len(accepted)/2])
+			if !staleAtReplay {
+				t.Fatalf("batch %d: deleting an accepted edge below the synced rows did not mark them stale", batch)
+			}
+			check()
+
+			isAccepted := make(map[graph.Edge]bool)
+			for _, e := range mustResult(t, inc).Edges {
+				isAccepted[e] = true
+			}
+			rejected := -1
+			for i, e := range grown.Edges() {
+				if !isAccepted[e.Canonical()] {
+					rejected = i
+					break
+				}
+			}
+			if rejected < 0 {
+				t.Fatalf("batch %d: every edge is accepted", batch)
+			}
+			deleteEdge(grown.Edges()[rejected])
+			if staleAtReplay || queuedAtReplay != 0 {
+				t.Fatalf("batch %d: deleting a rejected edge left stale=%v with %d queued repairs, want a no-op rebase",
+					batch, staleAtReplay, queuedAtReplay)
+			}
+			check()
+
+			st, err := inc.ExportState()
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameResult(t, want, mustResult(t, inc))
+			if inc, err = ImportIncremental(st, MetricParallelOptions{}, opts); err != nil {
+				t.Fatal(err)
+			}
+			check()
 		}
 	}
 }

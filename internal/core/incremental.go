@@ -54,10 +54,10 @@ import (
 // distances on a subgraph of every partial spanner the replay will build,
 // and spanner distances only shrink as edges are added, so they stay true
 // upper bounds and repair forward by dirty-radius re-relaxation. Arrays
-// synced past the cut restore the newest digest-verified checkpoint at or
-// below it, or are refreshed whole at the next sync (see
-// HubOracle.Rebase). Edge insertions replay far faster than a rebuild,
-// which is why graph mode keeps this machinery and metric mode does not.
+// synced past the cut are refreshed whole by one bounded Dijkstra per hub
+// at the next sync (see HubOracle.Rebase). Edge insertions replay far
+// faster than a rebuild, which is why graph mode keeps this machinery and
+// metric mode does not.
 //
 // # Batching and deferral
 //
@@ -168,18 +168,6 @@ func (s *IncrementalSpanner) Pending() int { return s.pendingOps }
 // updated input.
 var errSupplyOption = fmt.Errorf("core: incremental spanner owns its candidate supply; Source and Materialize are not supported")
 
-// checkpointInterval is the accepted-edge cadence at which a graph-mode
-// spanner snapshots its hub arrays: frequent enough that a backward rebase
-// finds a checkpoint close below any cut, rare enough that snapshot
-// copying stays a small fraction of scan time.
-func checkpointInterval(n int) int {
-	every := n / 8
-	if every < 32 {
-		every = 32
-	}
-	return every
-}
-
 // NewIncrementalMetric builds the greedy t-spanner of m and returns the
 // maintained spanner ready for point insertions via Insert and deletions
 // via Delete. Every option of opts applies to the initial build and to
@@ -216,39 +204,13 @@ func NewIncrementalGraph(g *graph.Graph, t float64, opts ParallelOptions) (*Incr
 	for _, e := range s.g.Edges() {
 		s.counts.add(e.W)
 	}
-	h := graph.New(g.N())
-	st := s.graphScanStats()
-	hubs := opts.Hubs
-	resolveHubBudget(opts.Budget, st.degradationSink(), &hubs, g.N())
-	if hubs > 0 {
-		s.oracle = NewHubOracle(SelectGraphHubs(s.g, hubs), h, 0)
-		s.oracle.EnableCheckpoints(checkpointInterval(g.N()))
-	}
-	sc := &graphScan{
-		t:       t,
-		workers: opts.Workers,
-		h:       h,
-		oracle:  s.oracle,
-		res:     s.res,
-		stats:   st,
-		env:     newScanEnv(opts.Ctx, opts.Budget, opts.Inject, st.degradationSink()),
-	}
+	sc := newGraphScan(t, graph.New(g.N()), s.res, opts)
+	sc.attachHubs(opts.Budget, opts.Hubs, func(k int) []int { return SelectGraphHubs(s.g, k) })
+	s.oracle = sc.oracle
 	if err := sc.run(newGraphEdgeSourceSeeded(s.g, opts.BucketPairs, s.counts), opts.BatchSize); err != nil {
 		return nil, fmt.Errorf("core: incremental initial build aborted: %w", err)
 	}
 	return s, nil
-}
-
-// graphScanStats returns the stats sink for a graph-mode scan — the
-// caller's Stats, zeroed so each build or replay reports its own counters
-// — or a scratch struct so the engine always has one to fill.
-func (s *IncrementalSpanner) graphScanStats() *ParallelStats {
-	st := s.gopts.Stats
-	if st == nil {
-		st = &ParallelStats{}
-	}
-	*st = ParallelStats{}
-	return st
 }
 
 // Result returns the maintained spanner, flushing any updates a
@@ -271,14 +233,13 @@ func (s *IncrementalSpanner) Result() (*Result, error) {
 // particular under the default flush-every-batch policy).
 //
 // Flush is atomic: either it completes and the maintained result advances
-// to the spanner of the updated input, or — on cancellation, deadline,
-// captured panic, or a corrupted guarded row — the maintained result and
-// pending tally are exactly what they were before the call, and a typed
-// error is returned. The same pending updates can then be flushed again
-// (for example under a fresh context via SetContext). This holds for
-// deletions exactly as for insertions: an update's bookkeeping is applied
-// eagerly at Insert/Delete time and is not part of the flush, so an
-// aborted flush leaves it intact.
+// to the spanner of the updated input, or — on cancellation, deadline, or
+// captured panic — the maintained result and pending tally are exactly
+// what they were before the call, and a typed error is returned. The same
+// pending updates can then be flushed again (for example under a fresh
+// context via SetContext). This holds for deletions exactly as for
+// insertions: an update's bookkeeping is applied eagerly at Insert/Delete
+// time and is not part of the flush, so an aborted flush leaves it intact.
 func (s *IncrementalSpanner) Flush() (err error) {
 	if s.pendingOps == 0 {
 		return nil
@@ -318,16 +279,8 @@ func (s *IncrementalSpanner) replayGraph() (*Result, error) {
 	if s.oracle != nil {
 		s.oracle.Rebase(keep, s.res.Edges, h)
 	}
-	st := s.graphScanStats()
-	sc := &graphScan{
-		t:       s.t,
-		workers: s.gopts.Workers,
-		h:       h,
-		oracle:  s.oracle,
-		res:     res,
-		stats:   st,
-		env:     newScanEnv(s.gopts.Ctx, s.gopts.Budget, s.gopts.Inject, st.degradationSink()),
-	}
+	sc := newGraphScan(s.t, h, res, s.gopts)
+	sc.oracle = s.oracle
 	return res, sc.run(newGraphEdgeSourceAfter(s.g, s.gopts.BucketPairs, s.pendingCut, s.counts), s.gopts.BatchSize)
 }
 

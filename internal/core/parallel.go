@@ -237,42 +237,52 @@ type scanInput struct {
 // The byte budget is applied to the supply and the hub count before
 // anything is allocated.
 func greedyScan(in scanInput, t float64, opts ParallelOptions) (*Result, error) {
-	stats := opts.Stats
-	if stats == nil {
-		stats = &ParallelStats{}
-	}
-	*stats = ParallelStats{}
-	env := newScanEnv(opts.Ctx, opts.Budget, opts.Inject, stats.degradationSink())
+	res := &Result{N: in.n, Stretch: t}
+	sc := newGraphScan(t, graph.New(in.n), res, opts)
 	src := opts.Source
 	if src == nil {
 		materialize, bucketPairs := opts.Materialize, opts.BucketPairs
-		if env != nil {
-			resolveSupplyBudget(opts.Budget, env.record, &materialize, &bucketPairs, in.candidates)
-		}
+		resolveSupplyBudget(opts.Budget, sc.stats.degradationSink(), &materialize, &bucketPairs, in.candidates)
 		if materialize {
 			src = NewMaterializedSource(in.sorted())
 		} else {
 			src = in.streamed(bucketPairs)
 		}
 	}
-	res := &Result{N: in.n, Stretch: t}
-	h := graph.New(in.n)
-	sc := &graphScan{
+	sc.attachHubs(opts.Budget, opts.Hubs, in.selectHubs)
+	return res, sc.run(src, opts.BatchSize)
+}
+
+// newGraphScan sets up one batched scan growing h and res under opts —
+// the setup shared by fresh builds, the incremental engine's initial
+// build, and its graph-mode replays. The stats sink is opts.Stats, zeroed
+// so each build or replay reports its own counters, or a scratch struct
+// so the engine always has one to fill; the run environment records its
+// degradation steps there. The scan starts without a hub oracle.
+func newGraphScan(t float64, h *graph.Graph, res *Result, opts ParallelOptions) *graphScan {
+	stats := opts.Stats
+	if stats == nil {
+		stats = &ParallelStats{}
+	}
+	*stats = ParallelStats{}
+	return &graphScan{
 		t:       t,
 		workers: opts.Workers,
 		h:       h,
 		res:     res,
 		stats:   stats,
-		env:     env,
+		env:     newScanEnv(opts.Ctx, opts.Budget, opts.Inject, stats.degradationSink()),
 	}
-	hubs := opts.Hubs
-	if env != nil {
-		resolveHubBudget(opts.Budget, env.record, &hubs, in.n)
+}
+
+// attachHubs resolves the hub count k against the byte budget and, when
+// any hubs remain, attaches a fresh oracle over selectHubs' picks to the
+// scan's empty spanner.
+func (sc *graphScan) attachHubs(b Budget, k int, selectHubs func(k int) []int) {
+	resolveHubBudget(b, sc.stats.degradationSink(), &k, sc.h.N())
+	if k > 0 {
+		sc.oracle = NewHubOracle(selectHubs(k), sc.h, 0)
 	}
-	if hubs > 0 {
-		sc.oracle = NewHubOracle(in.selectHubs(hubs), h, 0)
-	}
-	return res, sc.run(src, opts.BatchSize)
 }
 
 // graphScan bundles the state of one batched greedy scan — of a graph's

@@ -18,8 +18,8 @@ import (
 // stream. In metric mode that needs only the surviving input and the
 // result, because every flush is a from-scratch build; graph mode also
 // carries the hub set with its distance arrays, which its replays rebase.
-// Checkpoint rings and scratch state are deliberately NOT exported: they
-// are output-invariant accelerators, rebuilt empty on import.
+// Scratch state (searchers, queued repairs) is deliberately NOT exported:
+// it is rebuilt empty on import.
 
 // ResultDigest is the order-sensitive FNV-1a digest of a Result used by
 // the trace, persistence, and crash-recovery suites to compare spanners
@@ -310,10 +310,10 @@ func (s *IncrementalSpanner) importResult(st *SpannerState, n int) error {
 	return nil
 }
 
-// importOracle installs the graph-mode hub oracle: the hub set and arrays
-// come from the state, the attached spanner is rebuilt from the accepted
-// edges, and the checkpoint ring re-arms empty. An exported oracle is
-// always synced, so its arrays are exact on all the accepted edges.
+// importOracle installs the graph-mode hub oracle: a NewHubOracle over
+// the state's hub set, attached to the spanner rebuilt from the accepted
+// edges, with the state's arrays and epoch installed. An exported oracle
+// is always synced, so its arrays are exact on all the accepted edges.
 func (s *IncrementalSpanner) importOracle(st *SpannerState, n int) error {
 	if len(st.Hubs) == 0 {
 		if len(st.HubRows) != 0 {
@@ -334,14 +334,7 @@ func (s *IncrementalSpanner) importOracle(st *SpannerState, n int) error {
 		}
 		seen[hv] = true
 	}
-	o := &HubOracle{
-		h:      s.res.Graph(),
-		hubs:   append([]int(nil), st.Hubs...),
-		search: graph.NewSearcher(n),
-		epoch:  len(st.Edges),
-		live:   len(st.Edges),
-	}
-	o.rows = make([][]float64, len(st.HubRows))
+	o := NewHubOracle(append([]int(nil), st.Hubs...), s.res.Graph(), 0)
 	for i, row := range st.HubRows {
 		if len(row) != n {
 			return corrupt("hub row %d has %d entries, want %d", i, len(row), n)
@@ -351,9 +344,9 @@ func (s *IncrementalSpanner) importOracle(st *SpannerState, n int) error {
 				return corrupt("hub row %d entry %d is not a distance", i, v)
 			}
 		}
-		o.rows[i] = append([]float64(nil), row...)
+		copy(o.rows[i], row)
 	}
-	o.EnableCheckpoints(checkpointInterval(n))
+	o.epoch, o.live = len(st.Edges), len(st.Edges)
 	s.oracle = o
 	return nil
 }

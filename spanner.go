@@ -281,7 +281,8 @@ func NewGraphCandidateSource(g *Graph, bucketPairs int) CandidateSource {
 // first position it disturbs — the first position an inserted edge
 // occupies, or the earliest accepted edge a deleted one matches — keeps
 // the accepted prefix below it verbatim, and replays only the tail, with
-// the hub arrays rebased onto the prefix from digest-verified checkpoints.
+// the hub arrays rebased onto the prefix: arrays synced within it repair
+// forward, and arrays synced past the cut are refreshed whole.
 type Incremental = core.IncrementalSpanner
 
 // NewIncremental builds the greedy t-spanner of m and returns it as a
